@@ -124,9 +124,7 @@ fn blank_raw_string(out: &mut [u8], b: &[u8], start: usize) -> usize {
         if b[i] == b'"' {
             let close = &b[i + 1..];
             if close.len() >= hashes && close[..hashes].iter().all(|&c| c == b'#') {
-                for k in i..=i + hashes {
-                    out[k] = b' ';
-                }
+                out[i..=i + hashes].fill(b' ');
                 return i + hashes + 1;
             }
         }

@@ -1082,10 +1082,8 @@ impl<'a> Parser<'a> {
                     }
                     _ => {}
                 },
-                TokKind::Ident => {
-                    if is_binding_ident(t, self.peek_at(1)) {
-                        names.push(t.text.clone());
-                    }
+                TokKind::Ident if is_binding_ident(t, self.peek_at(1)) => {
+                    names.push(t.text.clone());
                 }
                 _ => {}
             }
@@ -1196,8 +1194,7 @@ impl<'a> Parser<'a> {
 
     fn postfix_expr(&mut self, no_struct: bool) -> Expr {
         let mut e = self.primary_expr(no_struct);
-        loop {
-            let Some(t) = self.peek() else { break };
+        while let Some(t) = self.peek() {
             match t.text.as_str() {
                 "." if t.kind == TokKind::Punct => {
                     let Some(next) = self.peek_at(1) else { break };
@@ -1761,7 +1758,7 @@ fn parse_named_fields(inner: &[Tok]) -> Vec<Field> {
 
 /// Splits a token slice at `sep` puncts that sit at delimiter depth zero.
 #[must_use]
-pub fn split_top_level<'t>(toks: &'t [Tok], sep: &str) -> Vec<Vec<Tok>> {
+pub fn split_top_level(toks: &[Tok], sep: &str) -> Vec<Vec<Tok>> {
     let mut out = Vec::new();
     let mut current: Vec<Tok> = Vec::new();
     let mut depth = 0i32;
@@ -1867,18 +1864,13 @@ fn is_binding_ident(t: &Tok, next: Option<&Tok>) -> bool {
     if !t.text.starts_with(|c: char| c.is_ascii_lowercase() || c == '_') {
         return false;
     }
-    match next {
-        Some(n)
-            if n.is_punct("::")
-                || n.is_punct("(")
-                || n.is_punct("{")
-                || n.is_punct(":")
-                || n.is_punct("!") =>
-        {
-            false
-        }
-        _ => true,
-    }
+    !next.is_some_and(|n| {
+        n.is_punct("::")
+            || n.is_punct("(")
+            || n.is_punct("{")
+            || n.is_punct(":")
+            || n.is_punct("!")
+    })
 }
 
 fn body_pos_or(fallback: Pos, body: &Expr) -> Pos {
@@ -1946,7 +1938,7 @@ mod tests {
         let file = parse(
             "fn run(budget: &EvalBudget) {\n\
                  for (index, slot) in out.values.iter_mut().enumerate() {\n\
-                     if budget.exhausted_at(index) { return; }\n\
+                     if budget.is_exhausted() { return; }\n\
                      let v = kernel.eval(&scratch[..n]);\n\
                  }\n\
              }\n",

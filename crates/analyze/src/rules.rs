@@ -548,12 +548,11 @@ fn act007_budget_blind_loops(file: &File, sink: &mut Sink<'_>) {
         // Does the function consult any of them (or the type directly)?
         let mut consulted = false;
         walk_block(body, &mut |e| match &e.kind {
-            ExprKind::Path(segs) => {
+            ExprKind::Path(segs)
                 if segs.iter().any(|s| s == "EvalBudget")
-                    || segs.first().is_some_and(|s| budgets.contains(s))
-                {
-                    consulted = true;
-                }
+                    || segs.first().is_some_and(|s| budgets.contains(s)) =>
+            {
+                consulted = true;
             }
             ExprKind::Field { name, .. } if budgets.contains(name) => consulted = true,
             _ => {}
@@ -1053,7 +1052,7 @@ mod tests {
         let budgeted =
             "pub fn sweep(points: &[P], kernel: &CompiledFootprint, budget: &EvalBudget) {\n\
                         for (i, p) in points.iter().enumerate() {\n\
-                        if budget.exhausted_at(i) { break; }\n\
+                        if budget.is_exhausted() { break; }\n\
                         let v = kernel.eval(p); use_it(v);\n\
                         }\n\
                         }\n";

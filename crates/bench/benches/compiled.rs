@@ -6,10 +6,7 @@
 
 use act_bench::{black_box, Harness};
 use act_core::{memo, CompiledFootprint, FreeAxis, ModelParams};
-use act_dse::{
-    logspace, par_monte_carlo_compiled_with, sweep_compiled, BatchOutput, McBuffer,
-    Parallelism, PointBatch,
-};
+use act_dse::{logspace, monte_carlo_compiled_block_budgeted, EvalBudget, McBuffer};
 
 /// Point count for the headline single-axis sweep.
 const SWEEP_POINTS: usize = 10_000;
@@ -66,33 +63,35 @@ fn main() {
             "compiled kernel diverged from the per-point pipeline"
         );
     }
-    let batch = PointBatch::single_axis(areas);
-    let mut out = BatchOutput::new();
+    let mut out = vec![0.0; areas.len()];
     h.bench("footprint_sweep_compiled_10k", || {
-        sweep_compiled(&batch, |point| kernel.eval(point), &mut out);
-        black_box(out.values().last().copied())
+        for (slot, area) in out.iter_mut().zip(&areas) {
+            *slot = kernel.eval(&[*area]);
+        }
+        black_box(out.last().copied())
     });
 
-    // Compiled Monte-Carlo: uncertain fab yield through a two-axis kernel,
-    // reusing the sample buffer across iterations.
-    let mc_kernel =
-        CompiledFootprint::compile(&params, &[FreeAxis::SocArea, FreeAxis::FabYield]);
+    // Compiled Monte-Carlo: uncertain fab yield through a two-axis kernel
+    // lowered to its block plan, reusing the sample buffer across
+    // iterations.
+    let mc_plan =
+        CompiledFootprint::compile(&params, &[FreeAxis::SocArea, FreeAxis::FabYield]).plan();
     let mut buf = McBuffer::new();
     h.bench("footprint_mc_compiled_20k", || {
-        let result = par_monte_carlo_compiled_with(
-            Parallelism::Serial,
+        let result = monte_carlo_compiled_block_budgeted(
             20_000,
             42,
             2,
-            |rng, point| {
-                point[0] = rng.gen_range(60.0..120.0);
-                point[1] = rng.gen_range(0.7..1.0);
+            |rng, k, columns| {
+                columns[0][k] = rng.gen_range(60.0..120.0);
+                columns[1][k] = rng.gen_range(0.7..1.0);
             },
-            |point| mc_kernel.eval(point),
+            |cols, range, out| mc_plan.eval_block(cols, range, out),
             &mut buf,
+            &EvalBudget::unlimited(),
         );
         let outcome = match result {
-            Ok(outcome) => outcome,
+            Ok((outcome, _)) => outcome,
             Err(err) => panic!("mobile reference stays finite: {err}"),
         };
         black_box(outcome.stats.mean)

@@ -5,9 +5,7 @@
 //! small wall-clock harness with the same command-line contract the CI
 //! smoke pass and `cargo xtask bench --criterion` already rely on
 //! (`cargo bench ... -- --test` runs every benchmark once as a smoke
-//! test). The full criterion suites still exist for statistically rigorous
-//! runs; they live in the excluded `external-dev/` workspace and need
-//! network access once to fetch criterion itself.
+//! test).
 //!
 //! Four bench targets exist:
 //!

@@ -203,16 +203,16 @@ fn run_bench_sweep(points_arg: Option<&str>, serial_only: bool, million: bool) -
             return ExitCode::from(EXIT_EXPERIMENT_FAILED);
         }
     };
-    let batch = PointBatch::single_axis(areas);
-    let mut compiled_out = BatchOutput::new();
+    // The per-point compiled leg: the scalar oracle, one `eval` per point.
     let compiled_start = Instant::now();
-    act_dse::sweep_compiled(&batch, |point| kernel.eval(point), &mut compiled_out);
+    let compiled_values: Vec<f64> = areas.iter().map(|&area| kernel.eval(&[area])).collect();
     let compiled_ms = compiled_start.elapsed().as_secs_f64() * 1e3;
+    let batch = PointBatch::single_axis(areas);
 
     // The compiled path must agree with the naive path to the last bit,
     // point for point — and the parallel batch path with the serial one.
     if let Some((_, naive_results)) = &naive {
-        for ((_, naive), compiled) in naive_results.iter().zip(compiled_out.values()) {
+        for ((_, naive), compiled) in naive_results.iter().zip(&compiled_values) {
             if naive.to_bits() != compiled.to_bits() {
                 eprintln!(
                     "bench-sweep: compiled kernel diverged from per-point model (engine bug)"
@@ -223,7 +223,7 @@ fn run_bench_sweep(points_arg: Option<&str>, serial_only: bool, million: bool) -
     }
     // The block-vectorized leg: the same kernel lowered once to its
     // evaluation plan, reading the SoA columns directly in LANES-wide
-    // blocks — must agree with the per-point compiled sweep to the bit.
+    // blocks — must agree with the scalar compiled leg to the bit.
     let plan = kernel.plan();
     let mut block_out = BatchOutput::new();
     let block_start = Instant::now();
@@ -233,11 +233,11 @@ fn run_bench_sweep(points_arg: Option<&str>, serial_only: bool, million: bool) -
         &mut block_out,
     );
     let block_ms = block_start.elapsed().as_secs_f64() * 1e3;
-    let block_matches = block_out.values().len() == compiled_out.values().len()
+    let block_matches = block_out.values().len() == compiled_values.len()
         && block_out
             .values()
             .iter()
-            .zip(compiled_out.values())
+            .zip(&compiled_values)
             .all(|(a, b)| a.to_bits() == b.to_bits());
     if !block_matches {
         eprintln!("bench-sweep: block-vectorized sweep diverged from per-point (engine bug)");
@@ -253,12 +253,12 @@ fn run_bench_sweep(points_arg: Option<&str>, serial_only: bool, million: bool) -
         &mut par_out,
     );
     let par_compiled_ms = par_compiled_start.elapsed().as_secs_f64() * 1e3;
-    if par_out.values() != compiled_out.values() {
+    if par_out.values() != compiled_values {
         eprintln!("bench-sweep: parallel compiled sweep diverged from serial (engine bug)");
         return ExitCode::from(EXIT_EXPERIMENT_FAILED);
     }
 
-    let model_checksum: f64 = compiled_out.values().iter().sum();
+    let model_checksum: f64 = compiled_values.iter().sum();
     let compiled_pps = points as f64 / (compiled_ms / 1e3).max(1e-12);
     let block_pps = points as f64 / (block_ms / 1e3).max(1e-12);
     let par_compiled_pps = points as f64 / (par_compiled_ms / 1e3).max(1e-12);

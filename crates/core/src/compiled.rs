@@ -601,9 +601,9 @@ impl CompiledFootprint {
                 terms
                     .iter()
                     .map(|term| match term {
-                        EmbodiedTerm::Const(value) => PlanInstr::AddConst(*value),
+                        EmbodiedTerm::Const(value) => PlanInstr::Const(*value),
                         EmbodiedTerm::SocAreaScaled { cpa_g_per_cm2, area } => {
-                            PlanInstr::AddAreaScaled {
+                            PlanInstr::AreaScaled {
                                 cpa_g_per_cm2: *cpa_g_per_cm2,
                                 area: PlanArea::from_source(*area),
                             }
@@ -615,7 +615,7 @@ impl CompiledFootprint {
                             intensity,
                             fab_yield,
                             area,
-                        } => PlanInstr::AddCpa {
+                        } => PlanInstr::Cpa {
                             epa_kwh_per_cm2: *epa_kwh_per_cm2,
                             gpa_g_per_cm2: *gpa_g_per_cm2,
                             mpa_g_per_cm2: *mpa_g_per_cm2,
@@ -624,7 +624,7 @@ impl CompiledFootprint {
                             area: PlanArea::from_source(*area),
                         },
                         EmbodiedTerm::StorageScaled { grams_per_gb, capacity_axis } => {
-                            PlanInstr::AddStorage {
+                            PlanInstr::Storage {
                                 grams_per_gb: *grams_per_gb,
                                 capacity_col: *capacity_axis,
                             }
@@ -799,12 +799,12 @@ enum PlanOp {
 /// associative, so the lowering never merges or reorders terms.
 #[derive(Clone, Copy, Debug)]
 enum PlanInstr {
-    AddConst(f64),
-    AddAreaScaled {
+    Const(f64),
+    AreaScaled {
         cpa_g_per_cm2: f64,
         area: PlanArea,
     },
-    AddCpa {
+    Cpa {
         epa_kwh_per_cm2: f64,
         gpa_g_per_cm2: f64,
         mpa_g_per_cm2: f64,
@@ -812,7 +812,7 @@ enum PlanInstr {
         fab_yield: ColOperand,
         area: PlanArea,
     },
-    AddStorage {
+    Storage {
         grams_per_gb: f64,
         capacity_col: usize,
     },
@@ -972,12 +972,12 @@ impl EvalPlan {
             PlanEmbodied::Instrs(instrs) => {
                 for instr in instrs {
                     match *instr {
-                        PlanInstr::AddConst(value) => {
+                        PlanInstr::Const(value) => {
                             for slot in emb_lane.iter_mut() {
                                 *slot += value;
                             }
                         }
-                        PlanInstr::AddAreaScaled { cpa_g_per_cm2, area } => {
+                        PlanInstr::AreaScaled { cpa_g_per_cm2, area } => {
                             let mut area_buf = [0.0f64; LANES];
                             let area_lane = &mut area_buf[..n];
                             area.lane(area_lane, columns, start);
@@ -985,7 +985,7 @@ impl EvalPlan {
                                 *slot += cpa_g_per_cm2 * cm2;
                             }
                         }
-                        PlanInstr::AddCpa {
+                        PlanInstr::Cpa {
                             epa_kwh_per_cm2,
                             gpa_g_per_cm2,
                             mpa_g_per_cm2,
@@ -1012,7 +1012,7 @@ impl EvalPlan {
                                 emb_lane[i] += cpa * area_lane[i];
                             }
                         }
-                        PlanInstr::AddStorage { grams_per_gb, capacity_col } => {
+                        PlanInstr::Storage { grams_per_gb, capacity_col } => {
                             let src = &columns[capacity_col][start..start + n];
                             for (slot, &gb) in emb_lane.iter_mut().zip(src) {
                                 *slot += grams_per_gb * gb;
@@ -1080,11 +1080,11 @@ impl EvalPlan {
             PlanEmbodied::Const(value) => *value,
             PlanEmbodied::Instrs(instrs) => instrs.iter().fold(0.0, |acc, instr| {
                 acc + match *instr {
-                    PlanInstr::AddConst(value) => value,
-                    PlanInstr::AddAreaScaled { cpa_g_per_cm2, area } => {
+                    PlanInstr::Const(value) => value,
+                    PlanInstr::AreaScaled { cpa_g_per_cm2, area } => {
                         cpa_g_per_cm2 * area.at(columns, index)
                     }
-                    PlanInstr::AddCpa {
+                    PlanInstr::Cpa {
                         epa_kwh_per_cm2,
                         gpa_g_per_cm2,
                         mpa_g_per_cm2,
@@ -1097,7 +1097,7 @@ impl EvalPlan {
                         let cpa = before_yield / fab_yield.at(columns, index);
                         cpa * area.at(columns, index)
                     }
-                    PlanInstr::AddStorage { grams_per_gb, capacity_col } => {
+                    PlanInstr::Storage { grams_per_gb, capacity_col } => {
                         grams_per_gb * columns[capacity_col][index]
                     }
                 }

@@ -5,11 +5,9 @@
 //! the `act_core::memo` caches never change a result, under concurrency
 //! included.
 //!
-//! The randomized-input (proptest) companion lives in
-//! `external-dev/tests/core_compiled.rs`; this suite drives the same
-//! properties from a seeded `act_rng` stream, so the hermetic std-only
-//! workspace covers a wide — and exactly reproducible — slice of the same
-//! case space.
+//! The properties are driven from a seeded `act_rng` stream, so the
+//! hermetic std-only workspace covers a wide — and exactly reproducible —
+//! slice of the case space.
 
 use act_core::{memo, CompiledFootprint, FreeAxis, ModelParams};
 use act_data::{DramTechnology, HddModel, ProcessNode, SsdTechnology};

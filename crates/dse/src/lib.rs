@@ -22,19 +22,17 @@
 //! default `parallel` cargo feature removes the threading entirely while
 //! keeping every `par_*` API compiling (serial fallback).
 //!
-//! Million-point explorations use the compiled batch path ([`PointBatch`],
-//! [`sweep_compiled`], [`par_sweep_compiled`],
-//! [`par_monte_carlo_compiled`]): design points live in
+//! Million-point explorations use the block-vectorized batch engine
+//! ([`PointBatch`], [`sweep_compiled_block`],
+//! [`par_sweep_compiled_block_budgeted`],
+//! [`par_monte_carlo_compiled_block_budgeted`]): design points live in
 //! structure-of-arrays columns, results land in reusable buffers, and the
-//! model is a precompiled `Fn(&[f64]) -> f64` kernel (e.g.
-//! `act_core::CompiledFootprint::eval`) — zero per-point heap allocation
+//! kernel receives whole column ranges (pair it with
+//! `act_core::EvalPlan::eval_block`), so the hot loop reads columns
+//! directly with no per-point gather, enum dispatch or heap allocation —
 //! with the same skip-and-record and seed-splitting semantics as the
-//! per-point API. The block-vectorized `_block` twins
-//! ([`sweep_compiled_block`], [`par_sweep_compiled_block`],
-//! [`par_monte_carlo_compiled_block`]) go further: the kernel receives
-//! whole column ranges (pair with `act_core::EvalPlan::eval_block`), so
-//! the hot loop reads columns directly with no per-point gather or enum
-//! dispatch — same results, bit for bit, several times faster.
+//! per-point API and results bit-identical to
+//! `act_core::CompiledFootprint::eval`, the scalar oracle.
 //!
 //! # Examples
 //!
@@ -70,14 +68,9 @@ mod pool;
 mod sweep;
 
 pub use batch::{
-    monte_carlo_compiled_block_budgeted, monte_carlo_compiled_budgeted,
-    par_monte_carlo_compiled, par_monte_carlo_compiled_block,
-    par_monte_carlo_compiled_block_budgeted, par_monte_carlo_compiled_block_with,
-    par_monte_carlo_compiled_budgeted, par_monte_carlo_compiled_with, par_sweep_compiled,
-    par_sweep_compiled_block, par_sweep_compiled_block_budgeted, par_sweep_compiled_block_with,
-    par_sweep_compiled_budgeted, par_sweep_compiled_with, sweep_compiled, sweep_compiled_block,
-    sweep_compiled_block_budgeted, sweep_compiled_budgeted, BatchOutput, BatchRun,
-    BatchShapeError, EvalBudget, McBuffer, PointBatch,
+    monte_carlo_compiled_block_budgeted, par_monte_carlo_compiled_block_budgeted,
+    par_sweep_compiled_block_budgeted, par_sweep_compiled_block_with, sweep_compiled_block,
+    BatchOutput, BatchRun, BatchShapeError, EvalBudget, McBuffer, PointBatch,
 };
 pub use montecarlo::{
     mc_sample_seed, monte_carlo, par_monte_carlo, par_monte_carlo_with, par_try_monte_carlo,

@@ -5,12 +5,12 @@
 //! distribution of inputs turns a point estimate into a defensible range.
 //!
 //! The closure-based entry points here take one sample at a time. For
-//! compiled-kernel hot loops, the block-vectorized twins in
-//! [`batch`](crate::batch) —
-//! [`crate::monte_carlo_compiled_block_budgeted`] and its pooled
-//! variants — sample straight into reusable structure-of-arrays columns
-//! and evaluate whole blocks per kernel call, with the same per-sample
-//! seed-splitting and therefore bit-identical [`McStats`].
+//! compiled-kernel hot loops, the block engine in [`batch`](crate::batch)
+//! — [`crate::monte_carlo_compiled_block_budgeted`] and its pooled twin
+//! [`crate::par_monte_carlo_compiled_block_budgeted`] — samples straight
+//! into reusable structure-of-arrays columns and evaluates whole blocks
+//! per kernel call, with the same per-sample seed-splitting and therefore
+//! bit-identical [`McStats`].
 
 use act_rng::Rng;
 

@@ -1,27 +1,30 @@
 //! Equivalence and determinism properties of the block-vectorized batch
-//! engine: the `_block` twins must reproduce the per-point paths bit for
-//! bit — same values, same rejection log, same Monte-Carlo summaries —
-//! for any batch length, thread count, and budget, with cut-offs landing
-//! on identical completed prefixes.
+//! engine: it must reproduce a scalar one-point-at-a-time loop bit for
+//! bit — same values, same rejection log as `sweep_finite`, same
+//! Monte-Carlo summaries as `par_try_monte_carlo` — for any batch length,
+//! thread count, and budget, with cut-offs landing on identical completed
+//! prefixes.
 //!
 //! The kernels here are plain closures (act-dse is model-agnostic); the
-//! `act_core::EvalPlan::eval_block` pairing is pinned by the property
-//! suite in `act-core` itself.
+//! pairing of `act_core::EvalPlan::eval_block` with the scalar oracle
+//! `CompiledFootprint::eval` is pinned by the property suite in
+//! `act-core` itself.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use act_dse::{
-    monte_carlo_compiled_block_budgeted, monte_carlo_compiled_budgeted,
-    par_monte_carlo_compiled_block_with, par_sweep_compiled_block_budgeted,
-    par_sweep_compiled_block_with, sweep_compiled, sweep_compiled_block,
-    sweep_compiled_block_budgeted, BatchOutput, BatchRun, BatchShapeError, EvalBudget,
-    McBuffer, Parallelism, PointBatch,
+    mc_sample_seed, monte_carlo_compiled_block_budgeted,
+    par_monte_carlo_compiled_block_budgeted, par_sweep_compiled_block_budgeted,
+    par_sweep_compiled_block_with, par_try_monte_carlo_with, sweep_compiled_block,
+    sweep_finite, BatchOutput, BatchRun, BatchShapeError, EvalBudget, McBuffer, Parallelism,
+    PointBatch, RejectedPoint,
 };
 use act_rng::Rng;
 
-/// Batch lengths straddling the worker, budget-block (1024 default check
-/// interval) and chunk boundaries, including a ragged tail.
+/// Batch lengths straddling the worker, lane (64), budget-block (1024
+/// default check interval) and block/chunk (4096) boundaries, including a
+/// ragged tail.
 const SIZES: [usize; 7] = [0, 1, 63, 64, 65, 1024, 5000];
 
 /// Worker counts covering serial, two-way and oversubscribed pools.
@@ -63,16 +66,28 @@ fn assert_bitwise_eq(a: &[f64], b: &[f64], context: &str) {
     }
 }
 
+/// The scalar oracle: one `point_kernel` call per point, through
+/// `sweep_finite` so the rejection log (indices, order and reason strings)
+/// is the per-point API's. Rejected slots hold NaN.
+fn scalar_sweep(batch: &PointBatch) -> (Vec<f64>, Vec<RejectedPoint>) {
+    let (xs, ys) = (batch.column(0), batch.column(1));
+    let outcome = sweep_finite(0..batch.len(), |&i| point_kernel(&[xs[i], ys[i]]));
+    let mut values = vec![f64::NAN; batch.len()];
+    for (i, v) in outcome.results {
+        values[i] = v;
+    }
+    (values, outcome.rejected)
+}
+
 #[test]
-fn block_sweep_equals_per_point_sweep_bitwise() {
+fn block_sweep_equals_scalar_loop_bitwise() {
     for (i, n) in SIZES.into_iter().enumerate() {
         let batch = batch(i as u64, n);
-        let mut per_point = BatchOutput::new();
-        sweep_compiled(&batch, point_kernel, &mut per_point);
+        let (values, rejected) = scalar_sweep(&batch);
         let mut block = BatchOutput::new();
         sweep_compiled_block(&batch, block_kernel, &mut block);
-        assert_bitwise_eq(per_point.values(), block.values(), &format!("n={n}"));
-        assert_eq!(per_point.rejected(), block.rejected(), "n={n}: rejection logs differ");
+        assert_bitwise_eq(&values, block.values(), &format!("n={n}"));
+        assert_eq!(rejected, block.rejected(), "n={n}: rejection logs differ");
     }
 }
 
@@ -146,72 +161,71 @@ fn budgeted_block_cutoff_is_a_bit_identical_prefix_for_any_thread_count() {
 fn expired_budget_reports_an_empty_block_prefix() {
     let batch = batch(11, 512);
     let budget = EvalBudget::with_deadline(Instant::now() - Duration::from_millis(1));
-    let mut out = BatchOutput::new();
-    let run = sweep_compiled_block_budgeted(&batch, block_kernel, &mut out, &budget);
-    assert_eq!(run, BatchRun::DeadlineExceeded { completed: 0 });
-    assert!(out.values().iter().all(|v| v.is_nan()));
-    assert!(out.rejected().is_empty());
+    for workers in WORKERS {
+        let mut out = BatchOutput::new();
+        let run = par_sweep_compiled_block_budgeted(
+            Parallelism::threads(workers),
+            &batch,
+            block_kernel,
+            &mut out,
+            &budget,
+        );
+        assert_eq!(run, BatchRun::DeadlineExceeded { completed: 0 }, "workers={workers}");
+        assert!(out.values().iter().all(|v| v.is_nan()));
+        assert!(out.rejected().is_empty());
+    }
+}
+
+/// Sample `i`'s coordinates, drawn from its own seed-split RNG.
+fn draw(rng: &mut Rng) -> (f64, f64) {
+    (rng.gen_range(-4.0..4.0), rng.gen_range(-2.0..2.0))
 }
 
 #[test]
-fn block_monte_carlo_matches_per_point_monte_carlo_bitwise() {
-    let ranges = [(-4.0_f64, 4.0_f64), (-2.0, 2.0)];
-    let per_point_sampler = |rng: &mut Rng, scratch: &mut [f64]| {
-        for (slot, (low, high)) in scratch.iter_mut().zip(&ranges) {
-            *slot = rng.gen_range(*low..*high);
-        }
-    };
+fn block_monte_carlo_matches_scalar_monte_carlo_bitwise() {
     let block_sampler = |rng: &mut Rng, k: usize, columns: &mut [Vec<f64>]| {
-        for (column, (low, high)) in columns.iter_mut().zip(&ranges) {
-            column[k] = rng.gen_range(*low..*high);
-        }
+        let (x, y) = draw(rng);
+        columns[0][k] = x;
+        columns[1][k] = y;
     };
     for seed in [0, 42, 0xAC70, u64::MAX] {
-        for samples in [1, 63, 64, 65, 1024, 3000] {
-            let mut per_point_buf = McBuffer::default();
-            let per_point = monte_carlo_compiled_budgeted(
-                samples,
-                seed,
-                2,
-                per_point_sampler,
-                point_kernel,
-                &mut per_point_buf,
-                &EvalBudget::unlimited(),
-            );
-            let mut block_buf = McBuffer::default();
-            let block = monte_carlo_compiled_block_budgeted(
-                samples,
-                seed,
-                2,
-                block_sampler,
-                block_kernel,
-                &mut block_buf,
-                &EvalBudget::unlimited(),
-            );
+        for samples in [1, 63, 64, 65, 1024, 3000, 5000] {
             let context = format!("seed={seed}, samples={samples}");
-            match (per_point, block) {
-                (Ok((a, _)), Ok((b, _))) => {
-                    assert_eq!(a, b, "{context}: summaries diverged");
-                    assert_bitwise_eq(per_point_buf.draws(), block_buf.draws(), &context);
-                }
-                (a, b) => {
-                    assert_eq!(a.is_err(), b.is_err(), "{context}: outcome kind diverged")
-                }
-            }
-            // The pooled block engine is invariant under thread count too.
+            let reference =
+                par_try_monte_carlo_with(Parallelism::Serial, samples, seed, |rng| {
+                    let (x, y) = draw(rng);
+                    model(x, y)
+                });
+            // The scalar draw loop: every sample's value, rejected as NaN.
+            let scalar_draws: Vec<f64> = (0..samples)
+                .map(|i| {
+                    let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, i as u64));
+                    let (x, y) = draw(&mut rng);
+                    let v = model(x, y);
+                    if v.is_finite() {
+                        v
+                    } else {
+                        f64::NAN
+                    }
+                })
+                .collect();
+            let mut serial_buf = McBuffer::default();
             let serial = monte_carlo_compiled_block_budgeted(
                 samples,
                 seed,
                 2,
                 block_sampler,
                 block_kernel,
-                &mut block_buf,
+                &mut serial_buf,
                 &EvalBudget::unlimited(),
             )
             .map(|(outcome, _)| outcome);
-            for workers in [2, 5, 8] {
+            assert_eq!(serial, reference, "{context}: summaries diverged");
+            assert_bitwise_eq(&scalar_draws, serial_buf.draws(), &context);
+            // The pooled engine is invariant under thread count too.
+            for workers in [1, 2, 5, 8] {
                 let mut par_buf = McBuffer::default();
-                let parallel = par_monte_carlo_compiled_block_with(
+                let parallel = par_monte_carlo_compiled_block_budgeted(
                     Parallelism::threads(workers),
                     samples,
                     seed,
@@ -219,8 +233,12 @@ fn block_monte_carlo_matches_per_point_monte_carlo_bitwise() {
                     block_sampler,
                     block_kernel,
                     &mut par_buf,
-                );
-                assert_eq!(serial, parallel, "{context}, workers={workers}");
+                    &EvalBudget::unlimited(),
+                )
+                .map(|(outcome, _)| outcome);
+                let context = format!("{context}, workers={workers}");
+                assert_eq!(serial, parallel, "{context}");
+                assert_bitwise_eq(&scalar_draws, par_buf.draws(), &context);
             }
         }
     }

@@ -3,10 +3,8 @@
 //! equality, and the skyline `pareto_indices` against the quadratic
 //! reference oracle.
 //!
-//! The randomized-input (proptest) companion lives in
-//! `external-dev/tests/dse_parallel.rs`; this suite drives the same
-//! properties from seeded `act_rng` streams so the hermetic std-only
-//! workspace pins them reproducibly.
+//! The properties are driven from seeded `act_rng` streams, so the
+//! hermetic std-only workspace pins them reproducibly.
 
 use act_dse::{
     monte_carlo, par_monte_carlo_with, par_sweep_finite_with, par_sweep_with,

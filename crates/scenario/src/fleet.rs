@@ -1,7 +1,7 @@
 //! Fleet-scale Monte-Carlo over a compiled scenario kernel.
 //!
-//! [`FleetKernel::run`] drives `act_dse::batch`'s block-vectorized
-//! Monte-Carlo family: sample `i` draws from an RNG seeded with
+//! [`FleetKernel::run`] drives `act_dse`'s block-vectorized Monte-Carlo
+//! engine: sample `i` draws from an RNG seeded with
 //! [`act_dse::mc_sample_seed`]`(seed, i)`, so the outcome is
 //! **bit-identical** for any thread count, block size, or deadline
 //! budget — sharding is a scheduling decision, never a numerical one.
@@ -16,8 +16,8 @@
 
 use act_core::CompiledFootprint;
 use act_dse::{
-    monte_carlo_compiled_block_budgeted, par_monte_carlo_compiled_block_budgeted,
-    try_triangular, BatchRun, EvalBudget, McBuffer, McError, McOutcome, Parallelism,
+    par_monte_carlo_compiled_block_budgeted, try_triangular, BatchRun, EvalBudget, McBuffer,
+    McError, McOutcome, Parallelism,
 };
 use act_rng::Rng;
 use act_units::SECONDS_PER_YEAR;
@@ -144,27 +144,15 @@ impl FleetKernel {
                     *slot += embodied;
                 }
             };
-        if threads > 1 {
-            par_monte_carlo_compiled_block_budgeted(
-                Parallelism::threads(threads),
-                self.spec.samples,
-                self.spec.seed,
-                4,
-                sampler,
-                block_kernel,
-                buf,
-                budget,
-            )
-        } else {
-            monte_carlo_compiled_block_budgeted(
-                self.spec.samples,
-                self.spec.seed,
-                4,
-                sampler,
-                block_kernel,
-                buf,
-                budget,
-            )
-        }
+        par_monte_carlo_compiled_block_budgeted(
+            Parallelism::threads(threads),
+            self.spec.samples,
+            self.spec.seed,
+            4,
+            sampler,
+            block_kernel,
+            buf,
+            budget,
+        )
     }
 }

@@ -23,9 +23,8 @@ use std::time::Instant;
 
 use act_core::{CompiledFootprint, FreeAxis, ModelParams};
 use act_dse::{
-    calibration, monte_carlo_compiled_block_budgeted, par_monte_carlo_compiled_block_budgeted,
-    par_sweep_compiled_block_budgeted, sweep_compiled_block_budgeted, BatchOutput, BatchRun,
-    EvalBudget, McBuffer, Parallelism, PointBatch,
+    calibration, par_monte_carlo_compiled_block_budgeted, par_sweep_compiled_block_budgeted,
+    BatchOutput, BatchRun, EvalBudget, McBuffer, Parallelism, PointBatch,
 };
 use act_experiments::{concrete_experiment_ids, try_render_experiment, OutputFormat};
 use act_json::{format_float, FromJson, JsonValue, ToJson};
@@ -465,7 +464,7 @@ fn handle_sweep(
     let budget = EvalBudget::with_deadline(deadline);
     // Lower the kernel once to its block-vectorized plan: chunks of the
     // batch evaluate as whole column ranges (no per-point gather or enum
-    // dispatch), bit-identical to the per-point path.
+    // dispatch), bit-identical to `CompiledFootprint::eval` point by point.
     let plan = sweep.compiled.plan();
     let block_kernel = |cols: &[&[f64]], range: std::ops::Range<usize>, out: &mut [f64]| {
         plan.eval_block(cols, range, out);
@@ -474,17 +473,13 @@ fn handle_sweep(
     // bit-identical values, so clients cannot observe which ran except
     // through the `threads` field in the trailer.
     let threads = batch_threads(sweep.points);
-    let run = if threads > 1 {
-        par_sweep_compiled_block_budgeted(
-            Parallelism::threads(threads),
-            &sweep.batch,
-            block_kernel,
-            &mut out,
-            &budget,
-        )
-    } else {
-        sweep_compiled_block_budgeted(&sweep.batch, block_kernel, &mut out, &budget)
-    };
+    let run = par_sweep_compiled_block_budgeted(
+        Parallelism::threads(threads),
+        &sweep.batch,
+        block_kernel,
+        &mut out,
+        &budget,
+    );
 
     // Evaluation is done; stream the results. Writes after this point are
     // covered by the socket write timeout, not the eval budget.
@@ -625,8 +620,8 @@ fn handle_montecarlo(
     let budget = EvalBudget::with_deadline(deadline);
     let ranges = mc.ranges;
     // The block sampler draws sample `k` straight into the reusable
-    // structure-of-arrays columns — same per-axis draw order as the old
-    // per-point scratch sampler, so the seed-split outcome is unchanged.
+    // structure-of-arrays columns, one axis after another, so the
+    // seed-split outcome is fixed by the request alone.
     let sampler = |rng: &mut act_rng::Rng, k: usize, columns: &mut [Vec<f64>]| {
         for (column, (low, high)) in columns.iter_mut().zip(&ranges) {
             if let Some(slot) = column.get_mut(k) {
@@ -641,28 +636,16 @@ fn handle_montecarlo(
     // Per-sample seeding makes the draws order-independent, so the pooled
     // path returns the same summary bit-for-bit (see `act_dse::batch`).
     let threads = batch_threads(mc.samples);
-    let result = if threads > 1 {
-        par_monte_carlo_compiled_block_budgeted(
-            Parallelism::threads(threads),
-            mc.samples,
-            mc.seed,
-            ranges.len(),
-            sampler,
-            block_kernel,
-            &mut buf,
-            &budget,
-        )
-    } else {
-        monte_carlo_compiled_block_budgeted(
-            mc.samples,
-            mc.seed,
-            ranges.len(),
-            sampler,
-            block_kernel,
-            &mut buf,
-            &budget,
-        )
-    };
+    let result = par_monte_carlo_compiled_block_budgeted(
+        Parallelism::threads(threads),
+        mc.samples,
+        mc.seed,
+        ranges.len(),
+        sampler,
+        block_kernel,
+        &mut buf,
+        &budget,
+    );
     match result {
         Ok((outcome, run)) => {
             let mut doc = outcome.to_json();

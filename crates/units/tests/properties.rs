@@ -1,7 +1,6 @@
-//! Deterministic property tests for the unit algebra: the same invariants
-//! the proptest suite in `external-dev/tests/units_properties.rs` checks
-//! under randomized inputs, exercised here over fixed magnitude grids so
-//! the hermetic std-only workspace still pins every contract.
+//! Deterministic property tests for the unit algebra, exercised over fixed
+//! magnitude grids so the hermetic std-only workspace pins every contract
+//! reproducibly.
 
 use act_units::{
     Area, Capacity, CarbonIntensity, Energy, Fraction, MassCo2, MassPerArea, MassPerCapacity,
@@ -25,6 +24,23 @@ fn mass_addition_commutes() {
         for b in FINITE {
             let (x, y) = (MassCo2::grams(a), MassCo2::grams(b));
             assert_eq!(x + y, y + x, "commutativity at ({a}, {b})");
+        }
+    }
+}
+
+#[test]
+fn mass_addition_associates() {
+    let grid = FINITE.into_iter().filter(|v| v.abs() <= 1e6);
+    for a in grid.clone() {
+        for b in grid.clone() {
+            for c in grid.clone() {
+                let (x, y, z) = (MassCo2::grams(a), MassCo2::grams(b), MassCo2::grams(c));
+                let (lhs, rhs) = ((x + y) + z, x + (y + z));
+                assert!(
+                    (lhs.as_grams() - rhs.as_grams()).abs() <= 1e-6,
+                    "associativity at ({a}, {b}, {c})"
+                );
+            }
         }
     }
 }
