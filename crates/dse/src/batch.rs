@@ -680,12 +680,15 @@ pub fn par_sweep_compiled_block_budgeted(
 }
 
 /// Reusable sample buffer for the Monte-Carlo entry points: the raw draws
-/// (finite and not), the compacted finite subset the statistics are
-/// computed over, and the serial leg's structure-of-arrays sample columns.
-/// Reuse one buffer across runs to amortize allocation.
+/// (finite and not), the finite subset the statistics are reduced from,
+/// and the serial leg's structure-of-arrays sample columns. Reuse one
+/// buffer across runs to amortize allocation.
 #[derive(Clone, Debug, Default)]
 pub struct McBuffer {
     draws: Vec<f64>,
+    /// The finite draws compacted in sample order (so the mean is the
+    /// draw-order sum); the percentile selection then permutes it in
+    /// place, leaving [`draws`](Self::draws) untouched.
     finite: Vec<f64>,
     /// One column per axis, refilled per block (≤[`MAX_CHUNK_POINTS`]
     /// points), so sampling allocates nothing per point.
@@ -714,7 +717,9 @@ impl McBuffer {
     }
 
     /// The one summarize step: truncates the draws to the completed prefix
-    /// of `run` and reduces its finite draws to statistics.
+    /// of `run`, compacts its finite draws in sample order and reduces
+    /// them in O(n) — a draw-order sum for the mean, selection for the
+    /// percentiles (see [`McStats`](crate::McStats)).
     fn summarize(&mut self, run: BatchRun) -> Result<(McOutcome, BatchRun), McError> {
         if let BatchRun::DeadlineExceeded { completed } = run {
             self.draws.truncate(completed);

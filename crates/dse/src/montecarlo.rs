@@ -16,16 +16,20 @@ use act_rng::Rng;
 
 use crate::parallel::{par_map_range, Parallelism};
 
-/// Summary statistics of a Monte-Carlo run.
+/// Summary statistics of a Monte-Carlo run over `n` finite samples.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct McStats {
-    /// Sample mean.
+    /// Sample mean: the finite samples summed in draw (sample-index)
+    /// order, divided by `n`.
     pub mean: f64,
-    /// 5th percentile.
+    /// 5th percentile: the nearest-rank order statistic at index
+    /// `round((n - 1) · 0.05)` under [`f64::total_cmp`].
     pub p05: f64,
-    /// Median.
+    /// Median: the order statistic at index `round((n - 1) · 0.5)` under
+    /// [`f64::total_cmp`].
     pub p50: f64,
-    /// 95th percentile.
+    /// 95th percentile: the order statistic at index
+    /// `round((n - 1) · 0.95)` under [`f64::total_cmp`].
     pub p95: f64,
     /// Number of samples.
     pub samples: usize,
@@ -125,14 +129,14 @@ pub fn monte_carlo(
 ) -> McStats {
     assert!(samples > 0, "need at least one sample");
     let mut rng = Rng::seed_from_u64(seed);
-    let values: Vec<f64> = (0..samples)
+    let mut values: Vec<f64> = (0..samples)
         .map(|_| {
             let v = model(&mut rng);
             assert!(v.is_finite(), "model produced a non-finite sample");
             v
         })
         .collect();
-    summarize(values)
+    summarize_slice(&mut values)
 }
 
 /// Fault-tolerant variant of [`monte_carlo`]: draws that evaluate to NaN or
@@ -181,7 +185,7 @@ pub fn try_monte_carlo(
     if values.is_empty() {
         return Err(McError::AllRejected { rejected });
     }
-    Ok(McOutcome { stats: summarize(values), rejected })
+    Ok(McOutcome { stats: summarize_slice(&mut values), rejected })
 }
 
 /// Derives the independent RNG seed for sample `index` of a run keyed by
@@ -250,13 +254,13 @@ pub fn par_monte_carlo_with(
     model: impl Fn(&mut Rng) -> f64 + Sync,
 ) -> McStats {
     assert!(samples > 0, "need at least one sample");
-    let values = par_map_range(parallelism, samples, |i| {
+    let mut values = par_map_range(parallelism, samples, |i| {
         let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, i as u64));
         let v = model(&mut rng);
         assert!(v.is_finite(), "model produced a non-finite sample");
         v
     });
-    summarize(values)
+    summarize_slice(&mut values)
 }
 
 /// Fault-tolerant deterministic parallel Monte-Carlo under the default
@@ -322,27 +326,36 @@ pub fn par_try_monte_carlo_with(
     if values.is_empty() {
         return Err(McError::AllRejected { rejected });
     }
-    Ok(McOutcome { stats: summarize(values), rejected })
+    Ok(McOutcome { stats: summarize_slice(&mut values), rejected })
 }
 
-/// Sorts the finite samples and extracts the summary statistics.
-fn summarize(mut values: Vec<f64>) -> McStats {
-    summarize_slice(&mut values)
-}
-
-/// Slice-borrowing core of [`summarize`]: sorts `values` in place and
-/// extracts the summary statistics without taking ownership, so the batch
-/// path can summarize a reusable buffer without reallocating. Bit-identical
-/// to the owning wrapper — same sort, same fold, same percentile indexing.
+/// Reduces the finite samples to summary statistics in O(n), permuting
+/// `values` in place. Borrowing the slice lets the batch path summarize a
+/// reusable buffer without reallocating.
+///
+/// * `mean` is the sum of `values` **in the order given** — every caller
+///   passes draw (sample-index) order, which depends only on `(seed, i)`,
+///   so the mean is thread-count invariant and budget-prefix safe. The sum
+///   is taken before anything permutes the slice.
+/// * `p05`/`p50`/`p95` are the nearest-rank order statistics at index
+///   `round((n - 1) · q)` under [`f64::total_cmp`], found by selection:
+///   p50 over the whole slice, then p05 inside its left partition and p95
+///   inside its right one. `total_cmp` equality is bit equality, so each
+///   is bitwise the element a full sort would put at that index.
 pub(crate) fn summarize_slice(values: &mut [f64]) -> McStats {
     let samples = values.len();
-    values.sort_by(f64::total_cmp);
     let mean = values.iter().sum::<f64>() / samples as f64;
-    let pct = |q: f64| {
-        let idx = ((samples - 1) as f64 * q).round() as usize;
-        values[idx]
+    let rank = |q: f64| ((samples - 1) as f64 * q).round() as usize;
+    let (i05, i50, i95) = (rank(0.05), rank(0.5), rank(0.95));
+    let (left, &mut p50, right) = values.select_nth_unstable_by(i50, f64::total_cmp);
+    let p05 =
+        if i05 == i50 { p50 } else { *left.select_nth_unstable_by(i05, f64::total_cmp).1 };
+    let p95 = if i95 == i50 {
+        p50
+    } else {
+        *right.select_nth_unstable_by(i95 - i50 - 1, f64::total_cmp).1
     };
-    McStats { mean, p05: pct(0.05), p50: pct(0.5), p95: pct(0.95), samples }
+    McStats { mean, p05, p50, p95, samples }
 }
 
 /// Error returned by [`try_triangular`] for parameters that do not define
@@ -569,13 +582,13 @@ mod tests {
     fn par_monte_carlo_matches_manual_seed_split_loop() {
         let f = |rng: &mut Rng| rng.gen_range(0.0..1.0);
         let parallel = par_monte_carlo_with(Parallelism::threads(4), 2_000, 11, f);
-        let values: Vec<f64> = (0..2_000u64)
+        let mut values: Vec<f64> = (0..2_000u64)
             .map(|i| {
                 let mut rng = Rng::seed_from_u64(mc_sample_seed(11, i));
                 f(&mut rng)
             })
             .collect();
-        let reference = summarize(values);
+        let reference = summarize_slice(&mut values);
         assert_eq!(parallel, reference);
     }
 
@@ -603,6 +616,43 @@ mod tests {
             par_try_monte_carlo(10, 0, |_| f64::INFINITY),
             Err(McError::AllRejected { rejected: 10 })
         );
+    }
+
+    /// The summarize contract: percentiles are bitwise the nearest-rank
+    /// elements of a `total_cmp`-sorted copy, and the mean is bitwise the
+    /// draw-order sum of the unpermuted input.
+    #[test]
+    fn summarize_slice_selects_sorted_ranks_and_sums_in_draw_order() {
+        let mut rng = Rng::seed_from_u64(5);
+        let subnormal = f64::from_bits(3);
+        for n in [1usize, 2, 3, 19, 20, 21, 64, 4097] {
+            let input: Vec<f64> = (0..n)
+                .map(|i| match i % 7 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => subnormal,
+                    3 => -subnormal,
+                    // Ties: a small set of repeated values.
+                    4 => f64::from(rng.gen_range(0u32..4)) - 1.5,
+                    _ => rng.gen_range(-1e3..1e3),
+                })
+                .collect();
+            let mut sorted = input.clone();
+            sorted.sort_by(f64::total_cmp);
+            let rank = |q: f64| sorted[((n - 1) as f64 * q).round() as usize];
+            let mean = input.iter().sum::<f64>() / n as f64;
+
+            let mut values = input.clone();
+            let stats = summarize_slice(&mut values);
+            assert_eq!(stats.samples, n);
+            assert_eq!(stats.mean.to_bits(), mean.to_bits(), "mean, n={n}");
+            assert_eq!(stats.p05.to_bits(), rank(0.05).to_bits(), "p05, n={n}");
+            assert_eq!(stats.p50.to_bits(), rank(0.5).to_bits(), "p50, n={n}");
+            assert_eq!(stats.p95.to_bits(), rank(0.95).to_bits(), "p95, n={n}");
+            // Selection only permutes: the multiset is unchanged.
+            values.sort_by(f64::total_cmp);
+            assert!(values.iter().zip(&sorted).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 
     #[test]

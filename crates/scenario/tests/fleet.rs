@@ -1,7 +1,7 @@
 //! Fleet Monte-Carlo contract tests: thread-count bit-identity, the
 //! point-distribution ↔ single-device consistency law, rejection
-//! accounting, deadline prefix determinism, and compile-time validation
-//! of fleet blocks.
+//! accounting, deadline prefix determinism, the summarize contract, and
+//! compile-time validation of fleet blocks.
 
 use std::time::{Duration, Instant};
 
@@ -188,6 +188,69 @@ fn deadline_cutoff_yields_a_bitwise_prefix() {
                 );
             }
         }
+        // The deadline can expire before the first block on a loaded
+        // machine; that is the documented NoSamples path, not a failure.
+        Err(McError::NoSamples) => {}
+        Err(other) => panic!("unexpected error: {other:?}"),
+    }
+}
+
+/// The summarize contract, re-derived from the draws a run leaves in its
+/// buffer: `rejected` counts the NaN slots, the mean is bitwise the
+/// draw-order sum of the finite draws, and each percentile is bitwise the
+/// nearest-rank element of a `total_cmp`-sorted copy.
+fn assert_summary_matches_draws(outcome: &act_dse::McOutcome, draws: &[f64]) {
+    let finite: Vec<f64> = draws.iter().copied().filter(|v| v.is_finite()).collect();
+    assert!(draws.iter().all(|v| v.is_finite() || v.is_nan()), "rejections are stored as NaN");
+    assert_eq!(outcome.rejected, draws.len() - finite.len());
+    assert_eq!(outcome.stats.samples, finite.len());
+    let n = finite.len();
+    let mean = finite.iter().sum::<f64>() / n as f64;
+    assert_eq!(outcome.stats.mean.to_bits(), mean.to_bits(), "mean is the draw-order sum");
+    let mut sorted = finite;
+    sorted.sort_by(f64::total_cmp);
+    let rank = |q: f64| sorted[((n - 1) as f64 * q).round() as usize].to_bits();
+    assert_eq!(outcome.stats.p05.to_bits(), rank(0.05), "p05");
+    assert_eq!(outcome.stats.p50.to_bits(), rank(0.5), "p50");
+    assert_eq!(outcome.stats.p95.to_bits(), rank(0.95), "p95");
+}
+
+/// Serial, pooled and deadline-cut runs all reduce their draws by the
+/// same O(n) contract, with rejected draws interleaved among the finite
+/// ones.
+#[test]
+fn summary_is_the_draw_order_mean_and_nearest_rank_percentiles() {
+    // A std_dev-2 normal lifetime throws a few percent of its draws below
+    // the 0.1-year floor, scattered through the run.
+    let doc = fleet_doc().replace("\"samples\": 4096", "\"samples\": 200000").replace(
+        r#"{"dist": "triangular", "low": 1.0, "mode": 3.0, "high": 6.0}"#,
+        r#"{"dist": "normal", "mean": 3.0, "std_dev": 2.0}"#,
+    );
+    let compiled = Scenario::parse(&doc).expect("parse").compile().expect("compile");
+    let fleet = compiled.fleet().expect("fleet block");
+    let unlimited = EvalBudget::unlimited();
+
+    let mut serial_buf = McBuffer::new();
+    let (serial, _) = fleet.run(1, &mut serial_buf, &unlimited).expect("serial run");
+    let draws = serial_buf.draws();
+    let first_nan = draws.iter().position(|v| v.is_nan()).expect("some rejections");
+    let last_nan = draws.iter().rposition(|v| v.is_nan()).expect("some rejections");
+    assert!(
+        draws[..first_nan].iter().any(|v| v.is_finite()),
+        "finite draws before a rejection"
+    );
+    assert!(draws[last_nan..].iter().any(|v| v.is_finite()), "finite draws after a rejection");
+    assert_summary_matches_draws(&serial, draws);
+
+    let mut pooled_buf = McBuffer::new();
+    let (pooled, _) = fleet.run(4, &mut pooled_buf, &unlimited).expect("pooled run");
+    assert_summary_matches_draws(&pooled, pooled_buf.draws());
+
+    let deadline = Instant::now() + Duration::from_micros(500);
+    let budget = EvalBudget::with_deadline(deadline).check_every(64);
+    let mut clipped = McBuffer::new();
+    match fleet.run(1, &mut clipped, &budget) {
+        Ok((outcome, _)) => assert_summary_matches_draws(&outcome, clipped.draws()),
         // The deadline can expire before the first block on a loaded
         // machine; that is the documented NoSamples path, not a failure.
         Err(McError::NoSamples) => {}

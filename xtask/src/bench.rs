@@ -379,15 +379,16 @@ pub fn guard_regression(existing: &str, record: &str) -> Option<(f64, f64)> {
 /// a multi-core host: parallel must not lose to serial.
 pub const GATE_MIN_SPEEDUP: f64 = 1.0;
 
-/// Verdict of the parallel-must-win gate over one `act bench-sweep` record.
+/// Verdict of a parallel-must-win gate over one `act bench-sweep` record
+/// ([`gate_parallel_win`]) or one `act fleet-bench` record
+/// ([`gate_fleet_parallel_win`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum GateOutcome {
-    /// Multi-core host and the compiled-parallel leg held
-    /// [`GATE_MIN_SPEEDUP`].
+    /// Multi-core host and the parallel leg held [`GATE_MIN_SPEEDUP`].
     Pass {
-        /// Compiled serial ms over compiled parallel ms.
+        /// Parallel-over-serial speedup.
         speedup: f64,
-        /// Worker threads the sweep resolved to.
+        /// Worker threads the run resolved to.
         threads: usize,
     },
     /// Single-core host: there is nothing to win, the gate soft-passes
@@ -398,13 +399,13 @@ pub enum GateOutcome {
     },
     /// Multi-core host but the parallel leg lost to serial.
     Fail {
-        /// Compiled serial ms over compiled parallel ms.
+        /// Parallel-over-serial speedup.
         speedup: f64,
-        /// Worker threads the sweep resolved to.
+        /// Worker threads the run resolved to.
         threads: usize,
     },
-    /// The record carried no readable compiled serial/parallel timings
-    /// (e.g. an empty capture on a degraded run).
+    /// The record carried no readable serial/parallel readings (e.g. an
+    /// empty capture on a degraded run).
     Unreadable,
 }
 
@@ -505,6 +506,39 @@ pub fn gate_block_retention(sweep_record: &str) -> BlockGateOutcome {
         BlockGateOutcome::Pass { ratio }
     } else {
         BlockGateOutcome::Fail { ratio }
+    }
+}
+
+/// Applies the fleet parallel-must-win gate to one raw `act fleet-bench`
+/// record: on a host with ≥ 2 hardware threads, `fleet_parallel`'s
+/// `samples_per_sec` must be at least [`GATE_MIN_SPEEDUP`] times
+/// `fleet_serial`'s. Pure — callers decide how a [`GateOutcome::Fail`]
+/// maps to an exit code.
+#[must_use]
+pub fn gate_fleet_parallel_win(fleet_record: &str) -> GateOutcome {
+    let throughput = |leg: &str| {
+        fleet_record.find(leg).and_then(|at| number_after(fleet_record, at, "\"samples_per_sec\""))
+    };
+    let (Some(machine), Some(serial), Some(parallel)) = (
+        number_after(fleet_record, 0, "\"machine_threads\""),
+        throughput("\"fleet_serial\""),
+        throughput("\"fleet_parallel\""),
+    ) else {
+        return GateOutcome::Unreadable;
+    };
+    if !(serial > 0.0 && parallel > 0.0) {
+        return GateOutcome::Unreadable;
+    }
+    if machine < 2.0 {
+        return GateOutcome::SingleCore { machine: machine.max(0.0) as usize };
+    }
+    let threads =
+        number_after(fleet_record, 0, "\"threads\"").map_or(1, |t| t.max(1.0) as usize);
+    let speedup = parallel / serial;
+    if speedup >= GATE_MIN_SPEEDUP {
+        GateOutcome::Pass { speedup, threads }
+    } else {
+        GateOutcome::Fail { speedup, threads }
     }
 }
 
@@ -668,7 +702,8 @@ pub fn run_bench(config: &BenchConfig) -> Result<BenchReport, String> {
 
     // Fleet Monte-Carlo throughput probe: a fixed 100k-sample run of the
     // built-in server-class scenario so the trajectory tracks the scenario
-    // pipeline alongside the sweep engine.
+    // pipeline alongside the sweep engine; also the fleet parallel gate's
+    // input (see `gate_fleet_parallel_win`).
     let fleet = run_capture(Command::new(act_binary(root)).args(["fleet-bench", "100000"]))?;
 
     let criterion_ok = if config.criterion_smoke {
@@ -1044,20 +1079,71 @@ mod tests {
     fn parallel_gate_prefers_the_block_leg_as_its_serial_baseline() {
         // With a block leg present, the parallel gate measures against it:
         // block 8ms vs parallel 4ms -> 2x speedup on a 4-thread host.
-        let record = format!(
-            "{{\"points\":100000,\"threads\":4,\"threads_source\":\"machine\",\
+        let record = "{\"points\":100000,\"threads\":4,\"threads_source\":\"machine\",\
              \"machine_threads\":4,\"decision\":\"parallel\",\
-             \"compiled\":{{\"ms\":10.0,\"points_per_sec\":1.0}},\
-             \"compiled_block\":{{\"ms\":8.0,\"points_per_sec\":1.0}},\
-             \"compiled_parallel\":{{\"ms\":4.0,\"points_per_sec\":1.0}}}}"
-        );
-        match gate_parallel_win(&record) {
+             \"compiled\":{\"ms\":10.0,\"points_per_sec\":1.0},\
+             \"compiled_block\":{\"ms\":8.0,\"points_per_sec\":1.0},\
+             \"compiled_parallel\":{\"ms\":4.0,\"points_per_sec\":1.0}}";
+        match gate_parallel_win(record) {
             GateOutcome::Pass { speedup, threads } => {
                 assert!((speedup - 2.0).abs() < 1e-9, "baseline should be the 8ms block leg");
                 assert_eq!(threads, 4);
             }
             other => panic!("expected Pass, got {other:?}"),
         }
+    }
+
+    /// A minimal fleet-bench record for fleet gate tests.
+    fn fleet_record(machine: u32, serial_sps: f64, parallel_sps: f64) -> String {
+        format!(
+            "{{\"samples\":100000,\"devices\":1000,\"seed\":1,\"threads\":{machine},\
+             \"threads_source\":\"machine\",\"machine_threads\":{machine},\
+             \"fleet_serial\":{{\"ms\":1.0,\"samples_per_sec\":{serial_sps}}},\
+             \"fleet_parallel\":{{\"ms\":1.0,\"samples_per_sec\":{parallel_sps},\
+             \"speedup_vs_serial\":1.0}},\"mean_g\":1.0,\"rejected\":0}}"
+        )
+    }
+
+    #[test]
+    fn fleet_gate_passes_when_parallel_wins_on_multicore() {
+        match gate_fleet_parallel_win(&fleet_record(2, 6.0e6, 1.05e7)) {
+            GateOutcome::Pass { speedup, threads } => {
+                assert!((speedup - 1.75).abs() < 1e-9);
+                assert_eq!(threads, 2);
+            }
+            other => panic!("expected Pass, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fleet_gate_fails_when_parallel_loses_on_multicore() {
+        match gate_fleet_parallel_win(&fleet_record(4, 8.0e6, 6.0e6)) {
+            GateOutcome::Fail { speedup, threads } => {
+                assert!((speedup - 0.75).abs() < 1e-9);
+                assert_eq!(threads, 4);
+            }
+            other => panic!("expected Fail, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fleet_gate_soft_passes_on_a_single_core_host() {
+        assert_eq!(
+            gate_fleet_parallel_win(&fleet_record(1, 8.0e6, 6.0e6)),
+            GateOutcome::SingleCore { machine: 1 }
+        );
+    }
+
+    #[test]
+    fn fleet_gate_reports_unreadable_records_instead_of_guessing() {
+        assert_eq!(gate_fleet_parallel_win(""), GateOutcome::Unreadable);
+        assert_eq!(
+            gate_fleet_parallel_win("{\"machine_threads\":2,\"fleet_serial\":{\"ms\":1.0}}"),
+            GateOutcome::Unreadable,
+            "missing fleet throughputs must not pass or fail the gate"
+        );
+        // A sweep record is not a fleet record.
+        assert_eq!(gate_fleet_parallel_win(&gate_record(4, 20.0, 10.0)), GateOutcome::Unreadable);
     }
 
     #[test]

@@ -403,7 +403,39 @@ fn run_bench(config: &xtask::bench::BenchConfig) -> ExitCode {
             false
         }
     };
-    if block_failed || parallel_failed {
+    let fleet_failed = match xtask::bench::gate_fleet_parallel_win(&report.fleet) {
+        xtask::bench::GateOutcome::Pass { speedup, threads } => {
+            eprintln!(
+                "bench: fleet parallel gate PASSED — fleet_parallel {speedup:.2}x serial \
+                 samples/s on {threads} worker(s)"
+            );
+            false
+        }
+        xtask::bench::GateOutcome::SingleCore { machine } => {
+            eprintln!(
+                "bench: fleet parallel gate SKIPPED (warning) — {machine} hardware thread(s); \
+                 parallel cannot win on this host, rerun on >= 2 cores to enforce it"
+            );
+            false
+        }
+        xtask::bench::GateOutcome::Fail { speedup, threads } => {
+            eprintln!(
+                "bench: fleet parallel gate FAILED — fleet_parallel only {speedup:.2}x serial \
+                 samples/s on {threads} worker(s) (needs >= {:.2}x); the pooled fleet run \
+                 must not lose to serial",
+                xtask::bench::GATE_MIN_SPEEDUP
+            );
+            true
+        }
+        xtask::bench::GateOutcome::Unreadable => {
+            eprintln!(
+                "bench: fleet parallel gate UNREADABLE (warning) — the fleet-bench record \
+                 carried no fleet_serial/fleet_parallel throughputs"
+            );
+            false
+        }
+    };
+    if block_failed || parallel_failed || fleet_failed {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
