@@ -5,12 +5,10 @@ use std::fmt;
 
 use act_core::{FabScenario, SystemSpec};
 use act_data::{Abatement, DramTechnology, ProcessNode};
-use act_ssd::{
-    analytical_write_amplification, FtlConfig, FtlSimulator, OverProvisioning, TracePattern,
-    WriteTrace,
-};
+use act_ssd::{analytical_write_amplification, OverProvisioning};
 use act_units::{Area, Capacity, Fraction, MassCo2};
 
+use crate::probe::WaProbe;
 use crate::render::TextTable;
 
 /// One sensitivity series: a swept parameter and the resulting outputs.
@@ -48,9 +46,34 @@ pub struct AblationsResult {
 
 act_json::impl_to_json!(AblationsResult { studies });
 
-/// Runs every ablation.
+/// The write-amplification study's FTL simulations, heaviest first: one
+/// per anchor over-provisioning point.
+#[must_use]
+pub fn probes() -> Vec<WaProbe> {
+    [0.16, 0.34]
+        .map(|op| WaProbe {
+            pf: OverProvisioning::new_const(op),
+            seed: 5,
+            measure_writes: 30_000,
+        })
+        .to_vec()
+}
+
+/// Runs every ablation: the FTL simulations serially, then [`assemble`].
 #[must_use]
 pub fn run() -> AblationsResult {
+    let wa: Vec<f64> = probes().iter().map(WaProbe::measure).collect();
+    assemble(&wa)
+}
+
+/// Builds every ablation from the measured [`probes`], in the same order.
+///
+/// # Panics
+///
+/// Panics unless there is exactly one measurement per probe.
+#[must_use]
+pub fn assemble(wa_simulated: &[f64]) -> AblationsResult {
+    assert_eq!(wa_simulated.len(), probes().len(), "one FTL measurement per probe");
     let die = Area::square_millimeters(90.0);
     let node = ProcessNode::N7;
 
@@ -96,15 +119,11 @@ pub fn run() -> AblationsResult {
     // WA model: analytical vs simulated at the study's anchor points.
     let wa_study = Sensitivity {
         parameter: "write-amplification model (WA at PF)".into(),
-        series: [0.16, 0.34]
-            .into_iter()
-            .flat_map(|op| {
-                let pf = OverProvisioning::new_const(op);
-                let config = FtlConfig::small(pf);
-                let mut ftl = FtlSimulator::new(config);
-                let mut trace =
-                    WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 5);
-                let simulated = ftl.measure_steady_state_wa(&mut trace, 30_000);
+        series: probes()
+            .iter()
+            .zip(wa_simulated)
+            .flat_map(|(probe, &simulated)| {
+                let pf = probe.pf;
                 [
                     (format!("analytical @ {pf}"), analytical_write_amplification(pf)),
                     (format!("FTL sim @ {pf}"), simulated),
@@ -184,6 +203,24 @@ mod tests {
         let r = run();
         let spread = r.studies[4].spread();
         assert!(spread > 10.0, "DRAM spread {spread}");
+    }
+
+    #[test]
+    fn wa_study_pairs_each_probe_with_its_analytical_twin() {
+        let wa = [2.5, 1.5];
+        let series = &assemble(&wa).studies[3].series;
+        let labels: Vec<&str> = series.iter().map(|(label, _)| label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["analytical @ 16%", "FTL sim @ 16%", "analytical @ 34%", "FTL sim @ 34%"]
+        );
+        assert_eq!((series[1].1, series[3].1), (2.5, 1.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "one FTL measurement per probe")]
+    fn assemble_rejects_a_short_measurement_list() {
+        let _ = assemble(&[1.0]);
     }
 
     #[test]

@@ -6,10 +6,10 @@ use crate::Present;
 use std::fmt;
 
 use act_ssd::{
-    analytical_write_amplification, effective_embodied, FtlConfig, FtlSimulator, LifetimeModel,
-    OverProvisioning, TracePattern, WriteTrace,
+    analytical_write_amplification, effective_embodied, LifetimeModel, OverProvisioning,
 };
 
+use crate::probe::WaProbe;
 use crate::render::TextTable;
 
 /// First-life deployment horizon in years.
@@ -61,11 +61,24 @@ pub struct Fig15Result {
 
 act_json::impl_to_json!(Fig15Result { rows });
 
-/// Runs the study.
+/// The study's FTL simulations, one per grid point in grid order. Cost
+/// falls along the grid (higher over-provisioning, less GC), so the list
+/// is already heaviest first.
 #[must_use]
-pub fn run() -> Fig15Result {
+pub fn probes() -> Vec<WaProbe> {
+    op_grid().into_iter().map(|pf| WaProbe { pf, seed: 7, measure_writes: 40_000 }).collect()
+}
+
+/// Builds the study from the measured [`probes`], in the same order.
+///
+/// # Panics
+///
+/// Panics unless there is exactly one measurement per grid point.
+#[must_use]
+pub fn assemble(wa_simulated: &[f64]) -> Fig15Result {
     let model = LifetimeModel::default();
     let grid = op_grid();
+    assert_eq!(wa_simulated.len(), grid.len(), "one FTL measurement per grid point");
     // Two carbon terms per PF, interleaved: the first- and second-life
     // horizons' effective embodied carbon.
     let carbon: Vec<f64> = grid
@@ -78,24 +91,25 @@ pub fn run() -> Fig15Result {
     let baseline = carbon[0];
     let rows = grid
         .into_iter()
+        .zip(wa_simulated)
         .enumerate()
-        .map(|(i, pf)| {
-            let config = FtlConfig::small(pf);
-            let mut ftl = FtlSimulator::new(config);
-            let mut trace =
-                WriteTrace::new(TracePattern::UniformRandom, config.logical_pages(), 7);
-            let wa_simulated = ftl.measure_steady_state_wa(&mut trace, 40_000);
-            OpRow {
-                pf,
-                wa_analytical: analytical_write_amplification(pf),
-                wa_simulated,
-                lifetime_years: model.lifetime_years(pf),
-                first_life: carbon[2 * i] / baseline,
-                second_life: carbon[2 * i + 1] / baseline,
-            }
+        .map(|(i, (pf, &wa_simulated))| OpRow {
+            pf,
+            wa_analytical: analytical_write_amplification(pf),
+            wa_simulated,
+            lifetime_years: model.lifetime_years(pf),
+            first_life: carbon[2 * i] / baseline,
+            second_life: carbon[2 * i + 1] / baseline,
         })
         .collect();
     Fig15Result { rows }
+}
+
+/// Runs the study: every FTL simulation serially, then [`assemble`].
+#[must_use]
+pub fn run() -> Fig15Result {
+    let wa: Vec<f64> = probes().iter().map(WaProbe::measure).collect();
+    assemble(&wa)
 }
 
 impl Fig15Result {
@@ -210,6 +224,18 @@ mod tests {
         // embodied carbon towers over the optimum.
         let r = run();
         assert!(r.rows[0].first_life > 2.0 * r.first_life_optimal().first_life);
+    }
+
+    #[test]
+    fn probes_follow_the_grid() {
+        let pfs: Vec<OverProvisioning> = probes().iter().map(|probe| probe.pf).collect();
+        assert_eq!(pfs, op_grid());
+    }
+
+    #[test]
+    #[should_panic(expected = "one FTL measurement per grid point")]
+    fn assemble_rejects_a_short_measurement_list() {
+        let _ = assemble(&[1.0; 3]);
     }
 
     #[test]

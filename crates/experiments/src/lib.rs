@@ -34,6 +34,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod probe;
 pub mod render;
 pub mod table12;
 pub mod table4;
@@ -64,103 +65,87 @@ pub const EXPERIMENT_IDS: [&str; 21] = [
     "all",
 ];
 
+/// A finished experiment result, rendered on demand as text or JSON.
+trait Rendered: std::fmt::Display + act_json::ToJson + Send {}
+
+impl<T: std::fmt::Display + act_json::ToJson + Send> Rendered for T {}
+
+/// Runs one concrete experiment. Returns `None` for `"all"` and unknown
+/// IDs.
+fn run_concrete(id: &str) -> Option<Box<dyn Rendered>> {
+    let result: Box<dyn Rendered> = match id {
+        "fig1" => Box::new(fig1::run()),
+        "fig4" => Box::new(fig4::run()),
+        "fig6" => Box::new(fig6::run()),
+        "fig7" => Box::new(fig7::run()),
+        "fig8" => Box::new(fig8::run()),
+        "fig9" => Box::new(fig9::run()),
+        "fig10" => Box::new(fig10::run()),
+        "fig11" => Box::new(fig11::run()),
+        "fig12" => Box::new(fig12::run()),
+        "fig13" => Box::new(fig13::run()),
+        "fig14" => Box::new(fig14::run()),
+        "fig15" => Box::new(fig15::run()),
+        "fig16" => Box::new(fig16::run()),
+        "fig17" => Box::new(fig17::run()),
+        "table4" => Box::new(table4::run()),
+        "table5-11" => Box::new(tables::run()),
+        "table12" => Box::new(table12::run()),
+        "ablations" => Box::new(ablations::run()),
+        "datacenter" => Box::new(ext_datacenter::run()),
+        "devices" => Box::new(ext_devices::run()),
+        _ => return None,
+    };
+    Some(result)
+}
+
 /// Renders one experiment (or `"all"`) to text. Returns `None` for an
 /// unknown ID.
 #[must_use]
 pub fn render_experiment(id: &str) -> Option<String> {
-    let out = match id {
-        "fig1" => fig1::run().to_string(),
-        "fig4" => fig4::run().to_string(),
-        "fig6" => fig6::run().to_string(),
-        "fig7" => fig7::run().to_string(),
-        "fig8" => fig8::run().to_string(),
-        "fig9" => fig9::run().to_string(),
-        "fig10" => fig10::run().to_string(),
-        "fig11" => fig11::run().to_string(),
-        "fig12" => fig12::run().to_string(),
-        "fig13" => fig13::run().to_string(),
-        "fig14" => fig14::run().to_string(),
-        "fig15" => fig15::run().to_string(),
-        "fig16" => fig16::run().to_string(),
-        "fig17" => fig17::run().to_string(),
-        "table4" => table4::run().to_string(),
-        "table5-11" => tables::run().to_string(),
-        "table12" => table12::run().to_string(),
-        "ablations" => ablations::run().to_string(),
-        "datacenter" => ext_datacenter::run().to_string(),
-        "devices" => ext_devices::run().to_string(),
-        "all" => {
-            let mut out = String::new();
-            for text in EXPERIMENT_IDS
-                .iter()
-                .filter(|id| **id != "all")
-                .filter_map(|id| render_experiment(id))
-            {
-                out.push_str(&text);
-                out.push('\n');
-            }
-            out
-        }
-        _ => return None,
-    };
+    if id != "all" {
+        return run_concrete(id).map(|result| result.to_string());
+    }
+    let mut out = String::new();
+    for id in concrete_experiment_ids() {
+        out.push_str(&render_experiment(id)?);
+        out.push('\n');
+    }
     Some(out)
 }
 
-/// Serializes a result struct to one compact JSON line — experiment
-/// results contain only plain data, and `ToJson` is total, so this cannot
-/// fail. Compact (not pretty) so each experiment is a single line on
-/// stdout: `act --json a b c` emits newline-delimited JSON that per-line
-/// consumers (`jq`, the CLI tests) can parse without a streaming parser.
-fn json<T: act_json::ToJson>(value: &T) -> String {
+/// Serializes a result to one compact JSON line. Compact (not pretty) so
+/// each experiment is a single line on stdout: `act --json a b c` emits
+/// newline-delimited JSON that per-line consumers (`jq`, the CLI tests)
+/// can parse without a streaming parser.
+fn json<T: act_json::ToJson + ?Sized>(value: &T) -> String {
     value.to_json().render_compact()
+}
+
+/// One `{"id": ..., "result": ...}` element of the JSON `all` array.
+fn all_entry(id: &str, result: act_json::JsonValue) -> act_json::JsonValue {
+    act_json::obj! { "id": id, "result": result }
 }
 
 /// Serializes one experiment's typed result to compact JSON. For `"all"`,
 /// emits a JSON array of `{"id": ..., "result": ...}` objects, one per
-/// concrete experiment in paper order. Returns `None` for unknown IDs.
+/// concrete experiment in paper order, built from each result's
+/// `to_json()` value. Returns `None` for unknown IDs.
 ///
 /// # Panics
 ///
-/// Panics if serialization fails (experiment results contain only plain
-/// data and always serialize).
+/// Panics only if an experiment itself panics; experiment results
+/// contain only plain data, and `ToJson` is total.
 #[must_use]
 pub fn render_experiment_json(id: &str) -> Option<String> {
-    let out = match id {
-        "fig1" => json(&fig1::run()),
-        "fig4" => json(&fig4::run()),
-        "fig6" => json(&fig6::run()),
-        "fig7" => json(&fig7::run()),
-        "fig8" => json(&fig8::run()),
-        "fig9" => json(&fig9::run()),
-        "fig10" => json(&fig10::run()),
-        "fig11" => json(&fig11::run()),
-        "fig12" => json(&fig12::run()),
-        "fig13" => json(&fig13::run()),
-        "fig14" => json(&fig14::run()),
-        "fig15" => json(&fig15::run()),
-        "fig16" => json(&fig16::run()),
-        "fig17" => json(&fig17::run()),
-        "table4" => json(&table4::run()),
-        "table5-11" => json(&tables::run()),
-        "table12" => json(&table12::run()),
-        "ablations" => json(&ablations::run()),
-        "datacenter" => json(&ext_datacenter::run()),
-        "devices" => json(&ext_devices::run()),
-        "all" => {
-            let entries: Vec<act_json::JsonValue> = EXPERIMENT_IDS
-                .iter()
-                .filter(|id| **id != "all")
-                .filter_map(|id| {
-                    let body = render_experiment_json(id)?;
-                    let result = act_json::JsonValue::parse(&body).ok()?;
-                    Some(act_json::obj! { "id": id, "result": result })
-                })
-                .collect();
-            json(&entries)
-        }
-        _ => return None,
-    };
-    Some(out)
+    if id != "all" {
+        return run_concrete(id).map(|result| json(&*result));
+    }
+    let entries = concrete_experiment_ids()
+        .into_iter()
+        .map(|id| Some(all_entry(id, run_concrete(id)?.to_json())))
+        .collect::<Option<Vec<_>>>()?;
+    Some(json(&entries))
 }
 
 /// Output format accepted by [`try_render_experiment`].
@@ -261,18 +246,11 @@ pub fn try_render_experiment(
     if !EXPERIMENT_IDS.contains(&id) {
         return Err(ExperimentError::UnknownId(id.to_owned()));
     }
-    let rendered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match format {
+    isolated(id, || match format {
         OutputFormat::Text => render_experiment(id),
         OutputFormat::Json => render_experiment_json(id),
-    }));
-    match rendered {
-        Ok(Some(out)) => Ok(out),
-        Ok(None) => Err(ExperimentError::UnknownId(id.to_owned())),
-        Err(payload) => Err(ExperimentError::Failed {
-            id: id.to_owned(),
-            message: panic_message(payload.as_ref()),
-        }),
-    }
+    })?
+    .ok_or_else(|| ExperimentError::UnknownId(id.to_owned()))
 }
 
 /// The concrete experiment IDs — [`EXPERIMENT_IDS`] without the `"all"`
@@ -280,6 +258,102 @@ pub fn try_render_experiment(
 #[must_use]
 pub fn concrete_experiment_ids() -> Vec<&'static str> {
     EXPERIMENT_IDS.iter().copied().filter(|id| *id != "all").collect()
+}
+
+/// An experiment whose FTL simulations the parallel schedule runs as
+/// separate pool units: its probe list, and its result built from their
+/// measured values.
+struct Split {
+    id: &'static str,
+    probes: fn() -> Vec<probe::WaProbe>,
+    assemble: fn(&[f64]) -> Box<dyn Rendered>,
+}
+
+/// Every experiment that runs FTL simulations. Together they are nearly
+/// all of `all`'s compute.
+static SPLITS: [Split; 2] = [
+    Split { id: "fig15", probes: fig15::probes, assemble: |wa| Box::new(fig15::assemble(wa)) },
+    Split {
+        id: "ablations",
+        probes: ablations::probes,
+        assemble: |wa| Box::new(ablations::assemble(wa)),
+    },
+];
+
+/// What one unit of the parallel schedule produced.
+enum Done<P> {
+    /// One FTL measurement of a [`Split`] experiment.
+    Wa(f64),
+    /// A whole experiment, rendered.
+    Part(P),
+}
+
+/// Runs `f` fault-isolated: a panic becomes [`ExperimentError::Failed`]
+/// against `id`.
+fn isolated<T>(id: &str, f: impl FnOnce() -> T) -> Result<T, ExperimentError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        ExperimentError::Failed { id: id.to_owned(), message: panic_message(payload.as_ref()) }
+    })
+}
+
+/// Runs the concrete experiments `ids` as one flat pool dispatch and
+/// returns each one's rendering (or failure) in `ids` order. `splits` is
+/// [`SPLITS`] outside tests.
+///
+/// The units are every FTL probe of every [`Split`] experiment, heaviest
+/// first, then each remaining experiment whole; the pool's shared cursor
+/// hands them out in that order, so the light experiments fill the cores
+/// while the last probes finish. Each split experiment is then assembled
+/// from its measured values. Every unit and every assembly runs under
+/// `catch_unwind`.
+fn run_schedule<P: Send>(
+    ids: &[&'static str],
+    splits: &[Split],
+    parallelism: act_dse::Parallelism,
+    render: fn(&dyn Rendered) -> P,
+) -> Vec<Result<P, ExperimentError>> {
+    // Per experiment: its split and probe list, or `None` to run it whole.
+    let plan: Vec<Option<(&Split, Vec<probe::WaProbe>)>> = ids
+        .iter()
+        .map(|id| splits.iter().find(|split| split.id == *id).map(|s| (s, (s.probes)())))
+        .collect();
+    let probes: Vec<(&str, probe::WaProbe)> = plan
+        .iter()
+        .flatten()
+        .flat_map(|(split, probes)| probes.iter().map(|probe| (split.id, *probe)))
+        .collect();
+    let whole: Vec<&str> =
+        ids.iter().zip(&plan).filter(|(_, split)| split.is_none()).map(|(id, _)| *id).collect();
+    let mut done = act_dse::par_map_range(parallelism, probes.len() + whole.len(), |unit| {
+        if let Some(&(id, probe)) = probes.get(unit) {
+            return isolated(id, || Done::Wa(probe.measure()));
+        }
+        let id = whole[unit - probes.len()];
+        isolated(id, || run_concrete(id).map(|result| Done::Part(render(&*result))))?
+            .ok_or_else(|| ExperimentError::UnknownId(id.to_owned()))
+    });
+    let mut whole_done = done.split_off(probes.len()).into_iter();
+    let mut probe_done = done.into_iter();
+    ids.iter()
+        .zip(plan)
+        .map(|(&id, split)| {
+            let Some((split, probes)) = split else {
+                return match whole_done.next() {
+                    Some(Ok(Done::Part(part))) => Ok(part),
+                    Some(Err(err)) => Err(err),
+                    _ => Err(ExperimentError::UnknownId(id.to_owned())),
+                };
+            };
+            let mut wa = Vec::with_capacity(probes.len());
+            for unit in probe_done.by_ref().take(probes.len()) {
+                if let Done::Wa(value) = unit? {
+                    wa.push(value);
+                }
+            }
+            // `assemble` checks it got one value per probe.
+            isolated(id, || render(&*(split.assemble)(&wa)))
+        })
+        .collect()
 }
 
 /// Wraps a concrete experiment's failure as an `"all"` failure, preserving
@@ -291,20 +365,26 @@ fn lift_all_error(err: &ExperimentError) -> ExperimentError {
 
 /// Parallel variant of [`try_render_experiment`].
 ///
-/// For a concrete ID this is exactly [`try_render_experiment`]. For
-/// `"all"` the concrete experiments evaluate **concurrently** — each one
-/// fault-isolated in its worker — and the output is assembled in paper
-/// order, byte-identical to the serial rendering whenever every
-/// experiment succeeds. [`Parallelism::Serial`] reproduces the serial
-/// schedule exactly (no threads are spawned).
+/// Experiments evaluate as one flat schedule of independent pool units:
+/// each FTL simulation of `fig15` and `ablations` is its own unit, and
+/// every other experiment is one unit. `"all"` schedules every concrete
+/// experiment at once and assembles the output in paper order; a concrete
+/// ID schedules just itself (so `fig15` also spreads its simulations over
+/// the pool). The output is byte-identical to [`try_render_experiment`]
+/// whenever every experiment succeeds. [`Parallelism::Serial`] runs the
+/// same units in order on the calling thread (no threads are spawned).
+///
+/// [`Parallelism::Serial`]: act_dse::Parallelism::Serial
 ///
 /// # Errors
 ///
 /// Returns [`ExperimentError::UnknownId`] for IDs outside
-/// [`EXPERIMENT_IDS`]. A failing sub-experiment of `"all"` surfaces as
-/// [`ExperimentError::Failed`] with `id == "all"` (matching the serial
-/// contract, where the panic unwinds out of the whole `all` rendering)
-/// and a message naming the concrete experiment that failed.
+/// [`EXPERIMENT_IDS`], and [`ExperimentError::Failed`] when a concrete
+/// experiment (or one of its FTL simulations) panics. A failing
+/// sub-experiment of `"all"` surfaces as [`ExperimentError::Failed`] with
+/// `id == "all"` (matching the serial contract, where the panic unwinds out
+/// of the whole `all` rendering) and a message naming the concrete
+/// experiment that failed.
 ///
 /// # Examples
 ///
@@ -321,41 +401,32 @@ pub fn par_try_render_experiment(
     format: OutputFormat,
     parallelism: act_dse::Parallelism,
 ) -> Result<String, ExperimentError> {
-    if id != "all" {
-        return try_render_experiment(id, format);
-    }
-    let ids = concrete_experiment_ids();
-    let parts = act_dse::par_map_ordered(parallelism, &ids, |_, sub| {
-        try_render_experiment(sub, format)
-    });
+    let Some(&id) = EXPERIMENT_IDS.iter().find(|known| **known == id) else {
+        return Err(ExperimentError::UnknownId(id.to_owned()));
+    };
+    let all = id == "all";
+    let ids = if all { concrete_experiment_ids() } else { vec![id] };
+    let lift = |err: ExperimentError| if all { lift_all_error(&err) } else { err };
     match format {
         OutputFormat::Text => {
             let mut out = String::new();
-            for part in parts {
-                match part {
-                    Ok(text) => {
-                        out.push_str(&text);
-                        out.push('\n');
-                    }
-                    Err(err) => return Err(lift_all_error(&err)),
+            for part in run_schedule(&ids, &SPLITS, parallelism, |result| result.to_string()) {
+                out.push_str(&part.map_err(lift)?);
+                if all {
+                    out.push('\n');
                 }
             }
             Ok(out)
         }
         OutputFormat::Json => {
+            let parts = run_schedule(&ids, &SPLITS, parallelism, |result| result.to_json());
             let mut entries = Vec::with_capacity(ids.len());
-            for (sub, part) in ids.iter().zip(parts) {
-                match part {
-                    Ok(body) => {
-                        // Mirrors the serial assembly, which also skips
-                        // (never observed) unparseable bodies.
-                        let Ok(result) = act_json::JsonValue::parse(&body) else {
-                            continue;
-                        };
-                        entries.push(act_json::obj! { "id": sub, "result": result });
-                    }
-                    Err(err) => return Err(lift_all_error(&err)),
+            for (id, part) in ids.iter().zip(parts) {
+                let value = part.map_err(lift)?;
+                if !all {
+                    return Ok(value.render_compact());
                 }
+                entries.push(all_entry(id, value));
             }
             Ok(json(&entries))
         }
@@ -423,6 +494,74 @@ mod tests {
                 par_try_render_experiment("all", format, Parallelism::threads(4)).unwrap();
             assert_eq!(serial, seq, "{format:?}");
             assert_eq!(serial, par, "{format:?}");
+        }
+    }
+
+    #[test]
+    fn split_experiments_match_serial_at_every_thread_count() {
+        use act_dse::Parallelism;
+        for id in ["fig15", "ablations"] {
+            for format in [OutputFormat::Text, OutputFormat::Json] {
+                let serial = try_render_experiment(id, format).unwrap();
+                for parallelism in
+                    [Parallelism::Serial, Parallelism::threads(2), Parallelism::threads(5)]
+                {
+                    let par = par_try_render_experiment(id, format, parallelism).unwrap();
+                    assert_eq!(serial, par, "{id} {format:?} {parallelism:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_split_assembly_is_a_typed_error_naming_its_experiment() {
+        use act_dse::Parallelism;
+        // fig15's assembly fed ablations' two probes: the count check panics.
+        let broken = [Split {
+            id: "fig15",
+            probes: ablations::probes,
+            assemble: |wa| Box::new(fig15::assemble(wa)),
+        }];
+        for parallelism in [Parallelism::Serial, Parallelism::threads(3)] {
+            let parts =
+                run_schedule(&["fig12", "fig15", "table4"], &broken, parallelism, |r| {
+                    r.to_string()
+                });
+            assert_eq!(parts[0], Ok(render_experiment("fig12").unwrap()));
+            assert_eq!(parts[2], Ok(render_experiment("table4").unwrap()));
+            let err = parts[1].clone().unwrap_err();
+            assert!(
+                matches!(&err, ExperimentError::Failed { id, message }
+                    if id == "fig15" && message.contains("one FTL measurement per grid point")),
+                "{err:?}"
+            );
+            let lifted = lift_all_error(&err);
+            assert!(matches!(&lifted, ExperimentError::Failed { id, message }
+                if id == "all" && message.contains("`fig15` failed")));
+        }
+    }
+
+    #[test]
+    fn isolated_turns_panics_into_failures_against_the_id() {
+        assert_eq!(isolated("fig1", || 7), Ok(7));
+        let err = isolated("fig15", || -> u8 { panic!("probe exploded") }).unwrap_err();
+        assert_eq!(
+            err,
+            ExperimentError::Failed {
+                id: "fig15".to_owned(),
+                message: "probe exploded".to_owned()
+            }
+        );
+    }
+
+    #[test]
+    fn json_all_is_built_from_each_results_value() {
+        let all = act_json::JsonValue::parse(&render_experiment_json("all").unwrap()).unwrap();
+        let entries = all.as_array().unwrap();
+        for (entry, id) in entries.iter().zip(concrete_experiment_ids()) {
+            let single =
+                act_json::JsonValue::parse(&render_experiment_json(id).unwrap()).unwrap();
+            assert_eq!(entry["result"], single, "{id}");
         }
     }
 

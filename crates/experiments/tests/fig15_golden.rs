@@ -12,7 +12,7 @@
 //! a new trace seed or grid): `act fig15` and paste the output here, in
 //! the same commit that justifies the change.
 
-use act_experiments::fig15;
+use act_experiments::{ablations, fig15};
 
 const GOLDEN: &str = "\
 == Figure 15: SSD over-provisioning study ==
@@ -33,16 +33,42 @@ fn rendered_study_is_byte_identical_to_the_golden() {
     assert_eq!(fig15::run().to_string(), GOLDEN);
 }
 
+/// The raw `wa_simulated` bits of every grid point, PF 4 % … 40 %. The
+/// table rounds to 2 decimals; these catch any drift below the rounding.
+const WA_SIMULATED_BITS: [u64; 7] = [
+    0x401d_bdd9_7f62_b6ae, // 7.4354
+    0x4011_49c7_79a6_b50b, // 4.32205
+    0x4009_5837_b4a2_339c, // 3.168075
+    0x4004_6e7d_566c_f41f, // 2.55395
+    0x4001_db71_758e_2196, // 2.23215
+    0x3fff_c7e2_8240_b780, // 1.9863
+    0x3ffd_290f_f972_4745, // 1.822525
+];
+
 #[test]
-fn simulated_wa_values_are_pinned_to_full_precision_within_display_rounding() {
-    // The table rounds to 2 decimals; additionally pin the raw simulated
-    // WA of the heaviest point so sub-rounding drift is caught too.
+fn simulated_wa_values_are_pinned_bitwise() {
     let rows = fig15::run().rows;
-    let wa0 = rows[0].wa_simulated;
-    assert!((wa0 - 7.44).abs() < 0.005, "PF 4% simulated WA drifted: {wa0}");
-    // Determinism: a second run is bit-identical to the first.
-    let again = fig15::run().rows;
-    for (a, b) in rows.iter().zip(&again) {
-        assert!(a.wa_simulated.to_bits() == b.wa_simulated.to_bits());
-    }
+    let bits: Vec<u64> = rows.iter().map(|r| r.wa_simulated.to_bits()).collect();
+    assert_eq!(bits, WA_SIMULATED_BITS, "simulated WA drifted: {rows:?}");
+}
+
+#[test]
+fn ablation_ftl_values_are_pinned_bitwise() {
+    // The write-amplification study's two FTL-simulated points (PF 16 %
+    // and 34 %), next to their analytical twins.
+    let studies = ablations::run().studies;
+    let series: Vec<(&str, u64)> = studies[3]
+        .series
+        .iter()
+        .map(|(label, value)| (label.as_str(), value.to_bits()))
+        .collect();
+    assert_eq!(
+        series,
+        [
+            ("analytical @ 16%", 0x400c_ffff_ffff_ffff),
+            ("FTL sim @ 16%", 0x4007_cfaa_cd9e_83e4), // 2.9764
+            ("analytical @ 34%", 0x3fff_8787_8787_8787),
+            ("FTL sim @ 34%", 0x3ffe_dce9_32ed_4b81), // 1.9289333…
+        ]
+    );
 }

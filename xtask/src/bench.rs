@@ -380,8 +380,9 @@ pub fn guard_regression(existing: &str, record: &str) -> Option<(f64, f64)> {
 pub const GATE_MIN_SPEEDUP: f64 = 1.0;
 
 /// Verdict of a parallel-must-win gate over one `act bench-sweep` record
-/// ([`gate_parallel_win`]) or one `act fleet-bench` record
-/// ([`gate_fleet_parallel_win`]).
+/// ([`gate_parallel_win`]), one `act fleet-bench` record
+/// ([`gate_fleet_parallel_win`]) or one trajectory record's `act all`
+/// timings ([`gate_all_parallel_win`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum GateOutcome {
     /// Multi-core host and the parallel leg held [`GATE_MIN_SPEEDUP`].
@@ -517,7 +518,9 @@ pub fn gate_block_retention(sweep_record: &str) -> BlockGateOutcome {
 #[must_use]
 pub fn gate_fleet_parallel_win(fleet_record: &str) -> GateOutcome {
     let throughput = |leg: &str| {
-        fleet_record.find(leg).and_then(|at| number_after(fleet_record, at, "\"samples_per_sec\""))
+        fleet_record
+            .find(leg)
+            .and_then(|at| number_after(fleet_record, at, "\"samples_per_sec\""))
     };
     let (Some(machine), Some(serial), Some(parallel)) = (
         number_after(fleet_record, 0, "\"machine_threads\""),
@@ -535,6 +538,38 @@ pub fn gate_fleet_parallel_win(fleet_record: &str) -> GateOutcome {
     let threads =
         number_after(fleet_record, 0, "\"threads\"").map_or(1, |t| t.max(1.0) as usize);
     let speedup = parallel / serial;
+    if speedup >= GATE_MIN_SPEEDUP {
+        GateOutcome::Pass { speedup, threads }
+    } else {
+        GateOutcome::Fail { speedup, threads }
+    }
+}
+
+/// Applies the `act all` parallel-must-win gate to one rendered trajectory
+/// record ([`render_record`]): on a host with ≥ 2 hardware threads,
+/// `all.serial_ms / all.parallel_ms` must be at least
+/// [`GATE_MIN_SPEEDUP`]. The machine's thread count comes from the same
+/// record's sweep or fleet capture. Pure — callers decide how a
+/// [`GateOutcome::Fail`] maps to an exit code.
+#[must_use]
+pub fn gate_all_parallel_win(record: &str) -> GateOutcome {
+    let all_ms =
+        |key: &str| record.find("\"all\":").and_then(|at| number_after(record, at, key));
+    let (Some(machine), Some(serial_ms), Some(parallel_ms)) = (
+        number_after(record, 0, "\"machine_threads\""),
+        all_ms("\"serial_ms\""),
+        all_ms("\"parallel_ms\""),
+    ) else {
+        return GateOutcome::Unreadable;
+    };
+    if !(serial_ms > 0.0 && parallel_ms > 0.0) {
+        return GateOutcome::Unreadable;
+    }
+    if machine < 2.0 {
+        return GateOutcome::SingleCore { machine: machine.max(0.0) as usize };
+    }
+    let threads = number_after(record, 0, "\"threads\"").map_or(1, |t| t.max(1.0) as usize);
+    let speedup = serial_ms / parallel_ms;
     if speedup >= GATE_MIN_SPEEDUP {
         GateOutcome::Pass { speedup, threads }
     } else {
@@ -1143,7 +1178,63 @@ mod tests {
             "missing fleet throughputs must not pass or fail the gate"
         );
         // A sweep record is not a fleet record.
-        assert_eq!(gate_fleet_parallel_win(&gate_record(4, 20.0, 10.0)), GateOutcome::Unreadable);
+        assert_eq!(
+            gate_fleet_parallel_win(&gate_record(4, 20.0, 10.0)),
+            GateOutcome::Unreadable
+        );
+    }
+
+    /// A rendered trajectory record with the given `act all` timings and a
+    /// sweep capture from a `machine`-thread host.
+    fn all_record(machine: u32, serial_ms: f64, parallel_ms: f64) -> String {
+        render_record(&BenchReport {
+            all_parallel_ms: parallel_ms,
+            all_serial_ms: serial_ms,
+            sweep_gate: gate_record(machine, 20.0, 10.0),
+            ..sample_report()
+        })
+    }
+
+    #[test]
+    fn all_gate_passes_when_parallel_all_wins_on_multicore() {
+        match gate_all_parallel_win(&all_record(2, 21.0, 12.0)) {
+            GateOutcome::Pass { speedup, threads } => {
+                assert!((speedup - 1.75).abs() < 1e-9);
+                assert_eq!(threads, 2);
+            }
+            other => panic!("expected Pass, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn all_gate_fails_when_parallel_all_loses_on_multicore() {
+        match gate_all_parallel_win(&all_record(4, 18.0, 24.0)) {
+            GateOutcome::Fail { speedup, threads } => {
+                assert!((speedup - 0.75).abs() < 1e-9);
+                assert_eq!(threads, 4);
+            }
+            other => panic!("expected Fail, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn all_gate_soft_passes_on_a_single_core_host() {
+        assert_eq!(
+            gate_all_parallel_win(&all_record(1, 18.0, 24.0)),
+            GateOutcome::SingleCore { machine: 1 }
+        );
+    }
+
+    #[test]
+    fn all_gate_reports_unreadable_records_instead_of_guessing() {
+        assert_eq!(gate_all_parallel_win(""), GateOutcome::Unreadable);
+        // A degraded run renders its `all` timings as null.
+        assert_eq!(
+            gate_all_parallel_win(&render_record(&degraded_report())),
+            GateOutcome::Unreadable
+        );
+        // A bare sweep capture has machine threads but no `all` block.
+        assert_eq!(gate_all_parallel_win(&gate_record(4, 20.0, 10.0)), GateOutcome::Unreadable);
     }
 
     #[test]

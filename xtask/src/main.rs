@@ -435,7 +435,39 @@ fn run_bench(config: &xtask::bench::BenchConfig) -> ExitCode {
             false
         }
     };
-    if block_failed || parallel_failed || fleet_failed {
+    let all_failed = match xtask::bench::gate_all_parallel_win(&record) {
+        xtask::bench::GateOutcome::Pass { speedup, threads } => {
+            eprintln!(
+                "bench: `act all` parallel gate PASSED — parallel {speedup:.2}x serial on \
+                 {threads} worker(s)"
+            );
+            false
+        }
+        xtask::bench::GateOutcome::SingleCore { machine } => {
+            eprintln!(
+                "bench: `act all` parallel gate SKIPPED (warning) — {machine} hardware \
+                 thread(s); parallel cannot win on this host, rerun on >= 2 cores to enforce it"
+            );
+            false
+        }
+        xtask::bench::GateOutcome::Fail { speedup, threads } => {
+            eprintln!(
+                "bench: `act all` parallel gate FAILED — parallel only {speedup:.2}x serial on \
+                 {threads} worker(s) (needs >= {:.2}x); the flat experiment schedule must not \
+                 lose to `act all --serial`",
+                xtask::bench::GATE_MIN_SPEEDUP
+            );
+            true
+        }
+        xtask::bench::GateOutcome::Unreadable => {
+            eprintln!(
+                "bench: `act all` parallel gate UNREADABLE (warning) — the record carried no \
+                 all.serial_ms/all.parallel_ms or machine thread count"
+            );
+            false
+        }
+    };
+    if block_failed || parallel_failed || fleet_failed || all_failed {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
