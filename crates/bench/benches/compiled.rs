@@ -1,11 +1,11 @@
 //! Compiled-kernel benchmarks: the per-point footprint pipeline versus
-//! [`CompiledFootprint`] over a 10k-point single-axis sweep — the numbers
-//! behind the ISSUE acceptance bar (>=5x on the compiled path) and the
-//! `cargo xtask bench` regression guard. Every bench cross-checks that the
-//! fast path is bit-identical to the slow one before timing it.
+//! [`CompiledFootprint`] over a 10k-point single-axis SoC-area sweep, plus
+//! a 20k-sample compiled Monte-Carlo over area and fab yield. The
+//! per-point leg is the oracle: the compiled kernel is checked bit-for-bit
+//! against it on every sweep point before either is timed.
 
 use act_bench::{black_box, Harness};
-use act_core::{memo, CompiledFootprint, FreeAxis, ModelParams};
+use act_core::{CompiledFootprint, FreeAxis, ModelParams};
 use act_dse::{logspace, monte_carlo_compiled_block_budgeted, EvalBudget, McBuffer};
 
 /// Point count for the headline single-axis sweep.
@@ -30,21 +30,8 @@ fn main() {
     let areas = area_axis();
 
     // The per-point path: full `ModelParams` pipeline per evaluation (fab
-    // scenario, system spec, component vector rebuilt every point),
-    // uncached.
-    memo::set_enabled(false);
+    // scenario, system spec, component vector rebuilt every point).
     h.bench("footprint_sweep_per_point_10k", || {
-        let mut total = 0.0;
-        for area in &areas {
-            total += naive_eval(&params, *area);
-        }
-        black_box(total)
-    });
-
-    // The memoized per-point path (cache hot): measures how much of the
-    // gap interning alone closes without compiling.
-    memo::set_enabled(true);
-    h.bench("footprint_sweep_memoized_10k", || {
         let mut total = 0.0;
         for area in &areas {
             total += naive_eval(&params, *area);

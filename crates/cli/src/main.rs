@@ -20,10 +20,6 @@
 //! and is byte-identical to a serial run. `--serial` disables threading
 //! entirely; `ACT_THREADS=N` caps the worker count.
 //!
-//! Model sub-terms are memoized by default (`act_core::memo`); `--naive`
-//! disables the caches for A/B timing. Cached values are bit-identical to
-//! the direct computation, so output never depends on the flag.
-//!
 //! Experiments are fault-isolated: a failing or unknown experiment prints
 //! a structured error to stderr and the remaining requested experiments
 //! still run. Pass `--strict` to stop at the first failure instead.
@@ -54,7 +50,7 @@ const BENCH_SWEEP_MILLION_POINTS: usize = 1_000_000;
 fn usage() -> String {
     format!(
         "act — ACT (ISCA 2022) experiment runner\n\n\
-         usage: act [--json] [--strict] [--serial] [--naive] <experiment>...\n\
+         usage: act [--json] [--strict] [--serial] <experiment>...\n\
                 act list\n\
                 act bench-sweep [points] [--million]\n\
                 act scenario <file.json>\n\
@@ -66,9 +62,7 @@ fn usage() -> String {
          options:\n\
            --json     emit typed results as JSON\n\
            --strict   stop at the first failing experiment\n\
-           --serial   evaluate single-threaded (parallel is the default)\n\
-           --naive    disable the memoized/compiled fast paths (A/B timing;\n\
-                      output is bit-identical either way)\n\n\
+           --serial   evaluate single-threaded (parallel is the default)\n\n\
          environment:\n\
            ACT_THREADS=N  cap the parallel evaluation workers at N\n\n\
          bench-sweep runs a synthetic parameter sweep serially and in\n\
@@ -771,7 +765,6 @@ fn main() -> ExitCode {
             "--strict" => strict = true,
             "--serial" => serial = true,
             "--million" => million = true,
-            "--naive" => act_core::memo::set_enabled(false),
             flag if flag.starts_with('-') => {
                 eprintln!("unknown flag `{flag}`\n\n{}", usage());
                 return ExitCode::from(EXIT_USAGE);

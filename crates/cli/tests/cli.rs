@@ -79,9 +79,12 @@ fn list_keeps_stdout_bare_and_notes_parallelism_on_stderr() {
 
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    let out = act(&["--frobnicate", "fig12"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("unknown flag"));
+    // A removed flag is rejected like any other unknown flag.
+    for flag in ["--frobnicate", "--naive"] {
+        let out = act(&[flag, "fig12"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(stderr(&out).contains("unknown flag"), "{flag}");
+    }
 }
 
 #[test]

@@ -17,10 +17,9 @@
 //! choices, same component order in the eq. 3 sum), so results are
 //! bit-for-bit identical to [`ModelParams::try_footprint`] — the old
 //! per-point path stays public as the oracle, and the property tests in
-//! `crates/core/tests/compiled.rs` pin the equivalence. Expensive
-//! discrete sub-terms (CPA, per-device storage footprints) are interned
-//! through [`crate::memo`] at compile time, so repeated configurations
-//! across kernels share work.
+//! `crates/core/tests/compiled.rs` pin the equivalence. The discrete
+//! sub-terms (CPA, per-device storage footprints) are closed-form and
+//! computed once, directly, at compile time.
 //!
 //! # Examples
 //!
@@ -42,7 +41,7 @@ use std::ops::Range;
 
 use act_units::{Area, Capacity, CarbonIntensity, Energy, TimeSpan, UnitError};
 
-use crate::{memo, ModelError, ModelParams, OperationalModel, PACKAGING_FOOTPRINT};
+use crate::{ModelError, ModelParams, OperationalModel, PACKAGING_FOOTPRINT};
 
 /// Lane width of the block-vectorized evaluation path: [`EvalPlan::eval_block`]
 /// walks design points in fixed blocks of `LANES` so every inner loop has a
@@ -384,14 +383,13 @@ impl CompiledFootprint {
         terms.push(match (fab_intensity, fab_yield, area) {
             (Scalar::Const(_), Scalar::Const(_), AreaSource::Cm2Const(_)) => {
                 EmbodiedTerm::Const(
-                    (memo::carbon_per_area(&fab, params.process_node)
+                    (fab.carbon_per_area(params.process_node)
                         * Area::square_millimeters(params.soc_area_mm2))
                     .as_grams(),
                 )
             }
             (Scalar::Const(_), Scalar::Const(_), area) => EmbodiedTerm::SocAreaScaled {
-                cpa_g_per_cm2: memo::carbon_per_area(&fab, params.process_node)
-                    .as_grams_per_cm2(),
+                cpa_g_per_cm2: fab.carbon_per_area(params.process_node).as_grams_per_cm2(),
                 area,
             },
             (intensity, fab_yield, area) => {
@@ -413,7 +411,7 @@ impl CompiledFootprint {
                     capacity_axis: index,
                 },
                 None => EmbodiedTerm::Const(
-                    memo::dram_embodied(*technology, Capacity::gigabytes(*gb)).as_grams(),
+                    (technology.carbon_per_gb() * Capacity::gigabytes(*gb)).as_grams(),
                 ),
             });
         }
@@ -424,7 +422,7 @@ impl CompiledFootprint {
                     capacity_axis: index,
                 },
                 None => EmbodiedTerm::Const(
-                    memo::ssd_embodied(*technology, Capacity::gigabytes(*gb)).as_grams(),
+                    (technology.carbon_per_gb() * Capacity::gigabytes(*gb)).as_grams(),
                 ),
             });
         }
@@ -435,7 +433,7 @@ impl CompiledFootprint {
                     capacity_axis: index,
                 },
                 None => EmbodiedTerm::Const(
-                    memo::hdd_embodied(*model, Capacity::gigabytes(*gb)).as_grams(),
+                    (model.carbon_per_gb() * Capacity::gigabytes(*gb)).as_grams(),
                 ),
             });
         }

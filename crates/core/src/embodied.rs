@@ -198,25 +198,22 @@ impl SystemSpec {
                 Component::Soc { label, area, node } => (
                     ComponentKind::Soc,
                     label.clone().into_owned(),
-                    // Eq. 4: E_SoC = Area x CPA (memoized — bit-identical
-                    // to `fab.carbon_per_area(*node) * *area`).
-                    crate::memo::carbon_per_area(fab, *node) * *area,
+                    // Eq. 4: E_SoC = Area x CPA.
+                    fab.carbon_per_area(*node) * *area,
                 ),
                 Component::Dram { technology, capacity } => (
                     ComponentKind::Dram,
                     technology.to_string(),
-                    crate::memo::dram_embodied(*technology, *capacity),
+                    technology.carbon_per_gb() * *capacity,
                 ),
                 Component::Ssd { technology, capacity } => (
                     ComponentKind::Ssd,
                     technology.to_string(),
-                    crate::memo::ssd_embodied(*technology, *capacity),
+                    technology.carbon_per_gb() * *capacity,
                 ),
-                Component::Hdd { model, capacity } => (
-                    ComponentKind::Hdd,
-                    model.to_string(),
-                    crate::memo::hdd_embodied(*model, *capacity),
-                ),
+                Component::Hdd { model, capacity } => {
+                    (ComponentKind::Hdd, model.to_string(), model.carbon_per_gb() * *capacity)
+                }
             };
             components.push(EmbodiedComponent { kind, label, footprint: mass });
         }

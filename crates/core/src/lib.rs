@@ -53,7 +53,6 @@ mod error;
 mod fab;
 mod intensity;
 mod lifecycle;
-pub mod memo;
 mod metrics;
 mod operational;
 mod params;

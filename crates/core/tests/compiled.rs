@@ -1,18 +1,15 @@
 //! Deterministic tests pinning the compiled-kernel contract: for valid
 //! `ModelParams` and every subset of free axes, [`CompiledFootprint::eval`]
 //! is **bit-for-bit** identical to substituting the point into the params
-//! and calling the interpreted oracle [`ModelParams::try_footprint`] — and
-//! the `act_core::memo` caches never change a result, under concurrency
-//! included.
+//! and calling the interpreted oracle [`ModelParams::try_footprint`].
 //!
 //! The properties are driven from a seeded `act_rng` stream, so the
 //! hermetic std-only workspace covers a wide — and exactly reproducible —
 //! slice of the case space.
 
-use act_core::{memo, CompiledFootprint, FreeAxis, ModelParams};
+use act_core::{CompiledFootprint, FreeAxis, ModelParams};
 use act_data::{DramTechnology, HddModel, ProcessNode, SsdTechnology};
 use act_rng::Rng;
-use act_units::Capacity;
 
 /// The seven scalar (non-storage) axes, in a fixed order for masking.
 const SCALAR_AXES: [FreeAxis; 7] = [
@@ -199,68 +196,4 @@ fn try_eval_agrees_with_eval_on_valid_points() {
             Err(_) => assert!(!unchecked.is_finite(), "case {case}"),
         }
     }
-}
-
-/// The memo caches are transparent: kernels compiled with interning
-/// disabled and enabled evaluate identically (the cache may only ever
-/// return what the direct computation would).
-#[test]
-fn memoization_never_changes_a_compiled_result() {
-    for case in 0..CASES {
-        let mut rng = Rng::seed_from_u64(act_rng::split_seed(0x3E30, case));
-        let params = draw_params(&mut rng);
-        let mask: u32 = rng.gen();
-        let axes = free_axes(&params, mask);
-        let point = draw_point(&mut rng, &axes);
-        memo::set_enabled(false);
-        let cold = CompiledFootprint::compile(&params, &axes).eval(&point);
-        memo::set_enabled(true);
-        let warm = CompiledFootprint::compile(&params, &axes).eval(&point);
-        assert_eq!(cold.to_bits(), warm.to_bits(), "case {case}");
-    }
-}
-
-/// Hammers the sharded caches from eight threads with a shared key set and
-/// checks every hit against the direct computation, bit for bit.
-#[test]
-fn memo_cache_is_bitwise_consistent_under_concurrent_access() {
-    memo::set_enabled(true);
-    let params = ModelParams::mobile_reference();
-    let fab = params.try_fab_scenario().expect("reference fab scenario");
-    let capacities = [0.0, 1.0, 8.0, 128.0, 2048.0];
-
-    // Direct (uncached) expectations, computed once up front.
-    let expected_cpa: Vec<u64> = ProcessNode::ALL
-        .iter()
-        .map(|node| fab.carbon_per_area(*node).as_grams_per_cm2().to_bits())
-        .collect();
-    let expected_dram: Vec<u64> = capacities
-        .iter()
-        .map(|gb| {
-            (DramTechnology::Lpddr4.carbon_per_gb() * Capacity::gigabytes(*gb))
-                .as_grams()
-                .to_bits()
-        })
-        .collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..8 {
-            scope.spawn(|| {
-                for _ in 0..200 {
-                    for (node, want) in ProcessNode::ALL.iter().zip(&expected_cpa) {
-                        let got = memo::carbon_per_area(&fab, *node).as_grams_per_cm2();
-                        assert_eq!(got.to_bits(), *want, "cpa({node:?}) diverged");
-                    }
-                    for (gb, want) in capacities.iter().zip(&expected_dram) {
-                        let got = memo::dram_embodied(
-                            DramTechnology::Lpddr4,
-                            Capacity::gigabytes(*gb),
-                        )
-                        .as_grams();
-                        assert_eq!(got.to_bits(), *want, "dram({gb} GB) diverged");
-                    }
-                }
-            });
-        }
-    });
 }

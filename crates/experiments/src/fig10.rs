@@ -126,7 +126,7 @@ fn group(
     level: IntensityLevel,
 ) -> ScenarioGroup {
     let op = OperationalModel::new(use_intensity);
-    let cpa = act_core::memo::carbon_per_area(fab, NODE);
+    let cpa = fab.carbon_per_area(NODE);
     let n = lifetime_inferences();
     let cpu_block = cpa * profile(Engine::Cpu).block_area();
     let cells = PROFILES

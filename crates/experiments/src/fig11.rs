@@ -55,7 +55,7 @@ pub fn energy_reduction(platform: Platform, app: App) -> f64 {
 /// Embodied footprint of a platform's silicon under the default fab.
 #[must_use]
 pub fn embodied(platform: Platform) -> MassCo2 {
-    act_core::memo::carbon_per_area(&FabScenario::default(), NODE) * silicon_area(platform)
+    FabScenario::default().carbon_per_area(NODE) * silicon_area(platform)
 }
 
 /// A geomean design point for the metric comparison: embodied silicon,

@@ -44,7 +44,7 @@ pub fn run() -> Fig12Result {
         .map(|macs| {
             let config = AccelConfig::new(macs);
             let eval = config.evaluate(&network);
-            let embodied = act_core::memo::carbon_per_area(&fab, config.node()) * config.area();
+            let embodied = fab.carbon_per_area(config.node()) * config.area();
             MacRow {
                 macs,
                 embodied,

@@ -129,7 +129,7 @@ pub fn run() -> Fig13Result {
                 macs,
                 fps: eval.throughput().as_per_second(),
                 energy_mj: eval.energy().as_millijoules(),
-                embodied: act_core::memo::carbon_per_area(&fab, config.node()) * config.area(),
+                embodied: fab.carbon_per_area(config.node()) * config.area(),
             }
         })
         .collect();
@@ -147,7 +147,7 @@ pub fn run() -> Fig13Result {
                 nanometers,
                 macs: widest.macs(),
                 area: widest.area(),
-                embodied: act_core::memo::carbon_per_area(&fab, widest.node()) * widest.area(),
+                embodied: fab.carbon_per_area(widest.node()) * widest.area(),
             });
         }
     }

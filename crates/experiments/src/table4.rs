@@ -53,7 +53,7 @@ act_json::impl_to_json!(Table4Result { rows });
 pub fn run() -> Table4Result {
     let fab = FabScenario::default();
     let op = OperationalModel::new(US_INTENSITY);
-    let cpa = act_core::memo::carbon_per_area(&fab, NODE);
+    let cpa = fab.carbon_per_area(NODE);
     let cpu_block = cpa * profile(Engine::Cpu).block_area();
     let rows = PROFILES
         .iter()
