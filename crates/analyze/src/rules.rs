@@ -65,10 +65,11 @@ fn act007_in_scope(path: &str) -> bool {
 }
 
 /// Modules allowed to touch wall-clock, sleeps and the environment: the
-/// service shell, the CLI binary, benchmarking code, and the `act-dse`
-/// modules whose deadline/thread-count/break-even behavior is the
-/// documented contract (the pool times its own dispatch overhead for the
-/// one-shot calibration).
+/// service shell, the CLI binary, benchmarking code, and the two `act-dse`
+/// modules whose behavior is the documented contract — `batch.rs` reads
+/// the clock for `EvalBudget` deadlines, `parallel.rs` reads
+/// `ACT_THREADS` and `ACT_PAR_THRESHOLD`. The worker pool is not on the
+/// list: it reads no clock and no environment.
 fn act008_allowed(path: &str) -> bool {
     path.starts_with("crates/server/")
         || path.starts_with("crates/cli/")
@@ -76,7 +77,6 @@ fn act008_allowed(path: &str) -> bool {
         || path.contains("/benches/")
         || path == "crates/dse/src/batch.rs"
         || path == "crates/dse/src/parallel.rs"
-        || path == "crates/dse/src/pool.rs"
 }
 
 /// ACT009 targets the server, where a guard held across I/O deadlocks the
@@ -1069,6 +1069,14 @@ mod tests {
         assert!(run("crates/dse/src/batch.rs", src).is_empty());
         let env = "pub fn f() { let v = std::env::var(\"X\"); drop(v); }\n";
         assert_eq!(rules(&run("crates/json/src/lib.rs", env)), vec!["ACT008"]);
+    }
+
+    #[test]
+    fn act008_flags_a_clock_read_in_the_worker_pool() {
+        let src = "pub fn f() -> Instant { let t = Instant::now(); t }\n";
+        assert_eq!(rules(&run("crates/dse/src/pool.rs", src)), vec!["ACT008"]);
+        let gated = "#[cfg(test)]\nmod tests { fn f() { let t = Instant::now(); drop(t); } }\n";
+        assert!(run("crates/dse/src/pool.rs", gated).is_empty(), "tests stay exempt");
     }
 
     #[test]

@@ -60,8 +60,8 @@ fn is_cli_binary(path: &str) -> bool {
 }
 
 /// ACT012 targets library crates: raw `thread::spawn`/`thread::scope`
-/// there bypasses the calibrated `act_dse::parallel` worker pool, so the
-/// spawn cost, `ACT_THREADS` cap and break-even fallback stop applying.
+/// there bypasses the `act_dse` worker pool, so the spawn cost,
+/// `ACT_THREADS` cap and break-even rule stop applying.
 /// Exempt: the pool engine itself (`crates/dse/src/pool.rs`,
 /// `crates/dse/src/parallel.rs`), the server shell (its accept loop and
 /// I/O workers are connection plumbing, not sweep compute), the CLI
@@ -91,8 +91,9 @@ const MSG_ACT004: &str = "infallible `from_base` outside the unit-definition cra
      use `try_from_base` at model boundaries";
 const MSG_ACT005: &str = "debug/stub macro left in source";
 const MSG_ACT012: &str = "direct `thread::spawn`/`thread::scope` in a library crate \
-     bypasses the calibrated worker pool; route parallel work through \
-     `act_dse::parallel` so break-even calibration and `ACT_THREADS` apply";
+     bypasses the `act_dse` worker pool; route parallel work through \
+     `act_dse::par_map_range` or the block engine so the break-even rule and \
+     `ACT_THREADS` apply";
 
 /// Runs ACT001–ACT005 over one file. `path` is the repo-relative path used
 /// for both crate classification and reporting; `src` is the file contents.

@@ -1,5 +1,5 @@
 //! ACT012 positive fixture: a library crate spawning raw threads instead
-//! of going through the calibrated `act_dse::parallel` worker pool.
+//! of going through the `act_dse` worker pool.
 
 /// Fans a reduction out onto an ad-hoc thread — pool bypass.
 pub fn fan_out(xs: Vec<f64>) -> f64 {

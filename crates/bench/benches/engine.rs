@@ -1,12 +1,12 @@
-//! Parallel-engine benchmarks: serial-vs-parallel sweep throughput,
-//! Monte-Carlo scaling, and the skyline `pareto_indices` against the
-//! quadratic reference. These are the numbers behind the ISSUE acceptance
-//! bar (>=2x on a 10k-point sweep) and feed `cargo xtask bench`.
+//! Parallel-engine benchmarks: a 10k-point per-point sweep serially and
+//! through `par_map_ordered`, a 20k-sample Monte-Carlo through the legacy
+//! single-RNG loop and the pooled block engine, and the skyline
+//! `pareto_indices` against the quadratic reference.
 
 use act_bench::{black_box, Harness};
 use act_dse::{
-    monte_carlo, par_monte_carlo_with, par_sweep_with, pareto_indices,
-    pareto_indices_reference, sweep, Parallelism,
+    monte_carlo, par_map_ordered, par_monte_carlo_compiled_block_budgeted, pareto_indices,
+    pareto_indices_reference, sweep, EvalBudget, McBuffer, Parallelism,
 };
 use act_rng::Rng;
 
@@ -47,7 +47,7 @@ fn main() {
     let inputs = act_dse::logspace(1.0, 1_000.0, SWEEP_POINTS);
     h.bench("sweep_10k/serial", || black_box(sweep(inputs.clone(), heavy_model)));
     h.bench("sweep_10k/parallel", || {
-        black_box(par_sweep_with(Parallelism::Auto, inputs.clone(), heavy_model))
+        black_box(par_map_ordered(Parallelism::Auto, &inputs, |_, x| heavy_model(x)))
     });
 
     let model = |rng: &mut Rng| {
@@ -56,8 +56,31 @@ fn main() {
         energy / yield_fraction
     };
     h.bench("monte_carlo_20k/serial_legacy", || black_box(monte_carlo(MC_SAMPLES, 7, model)));
+    // The same model split into a block sampler and kernel, as the pooled
+    // engine runs it (per-sample seeding, so a different draw schedule
+    // from the legacy loop's single RNG).
+    let sampler = |rng: &mut Rng, k: usize, columns: &mut [Vec<f64>]| {
+        columns[0][k] = rng.gen_range(0.5..1.0);
+        columns[1][k] = rng.gen_range(10.0..100.0);
+    };
+    let kernel = |cols: &[&[f64]], range: std::ops::Range<usize>, out: &mut [f64]| {
+        for ((slot, &y), &e) in out.iter_mut().zip(&cols[0][range.clone()]).zip(&cols[1][range])
+        {
+            *slot = e / y;
+        }
+    };
+    let mut buf = McBuffer::new();
     h.bench("monte_carlo_20k/parallel", || {
-        black_box(par_monte_carlo_with(Parallelism::Auto, MC_SAMPLES, 7, model))
+        black_box(par_monte_carlo_compiled_block_budgeted(
+            Parallelism::Auto,
+            MC_SAMPLES,
+            7,
+            2,
+            sampler,
+            kernel,
+            &mut buf,
+            &EvalBudget::unlimited(),
+        ))
     });
 
     let cloud = point_cloud(PARETO_POINTS);

@@ -44,12 +44,6 @@ impl IntensityProfile {
         Self { hourly: [intensity; 24] }
     }
 
-    /// A profile from explicit hourly samples.
-    #[must_use]
-    pub fn from_hourly(hourly: [CarbonIntensity; 24]) -> Self {
-        Self { hourly }
-    }
-
     /// A stylized solar-heavy grid: the baseline intensity is displaced by
     /// solar generation following a half-sine between 06:00 and 18:00,
     /// scaled so that at peak (noon) a `solar_share` fraction of demand is

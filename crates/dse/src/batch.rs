@@ -1,8 +1,8 @@
 //! Block-vectorized batch evaluation for compiled kernels.
 //!
-//! The per-point sweep API ([`sweep`](crate::sweep()), `par_sweep`) hands the
-//! model an owned parameter and collects `(param, result)` pairs — fine for
-//! dozens of points, wasteful for millions. This module is the batch engine:
+//! The per-point sweep API ([`sweep`](crate::sweep())) hands the model an
+//! owned parameter and collects `(param, result)` pairs — fine for dozens
+//! of points, wasteful for millions. This module is the batch engine:
 //! design points live in a [`PointBatch`] (one contiguous column per free
 //! axis), results land in a caller-owned reusable [`BatchOutput`] or
 //! [`McBuffer`], and the model is a **block kernel** — any
@@ -21,9 +21,11 @@
 //!
 //! Every leg walks the points in blocks of at most 4096 (`MAX_CHUNK_POINTS`)
 //! through one per-chunk body; the policy-driven legs fall back to the
-//! serial leg when the policy resolves to one worker, and otherwise hand
-//! ≤4096-point chunks to the persistent worker pool through an atomic
-//! cursor (work stealing). The serial legs accept kernels and samplers
+//! serial leg when the policy resolves to one worker (for `Auto`, below
+//! the committed break-even size of [`calibration`](crate::calibration)
+//! or [`monte_carlo_calibration`](crate::monte_carlo_calibration)), and
+//! otherwise hand ≤4096-point chunks to the persistent worker pool through
+//! an atomic cursor (work stealing). The serial legs accept kernels and samplers
 //! that are not `Sync`. Semantics:
 //!
 //! * **skip-and-record** — a non-finite kernel result does not abort the
@@ -35,10 +37,9 @@
 //!   coordinates and per-chunk rejection logs merge back in chunk order,
 //!   so serial and pooled runs are bit-for-bit identical;
 //! * **deterministic seed-splitting** — Monte-Carlo sample `i` draws from
-//!   an RNG seeded with [`mc_sample_seed`]`(seed, i)` exactly like
-//!   [`par_try_monte_carlo`](crate::par_try_monte_carlo), so a model split
-//!   into `(sampler, kernel)` gives the bit-identical outcome for any
-//!   thread count;
+//!   an RNG seeded with [`mc_sample_seed`]`(seed, i)` and nothing else, so
+//!   the outcome is bit-identical for any thread count and equals the
+//!   scalar loop that seeds, samples and evaluates one point at a time;
 //! * **budgeted cut-off** — under an [`EvalBudget`] a run stops at a
 //!   completed prefix that is bit-for-bit identical to the unbudgeted run:
 //!   block-aligned on the serial leg (the block is the budget's check
@@ -377,7 +378,7 @@ fn non_finite_reason(v: f64) -> String {
 /// cache-resident per steal, large enough that the per-chunk cursor bump,
 /// slot lock and kernel call are noise. It also bounds the Monte-Carlo
 /// sample columns, which hold one block at a time.
-const MAX_CHUNK_POINTS: usize = 4096;
+pub(crate) const MAX_CHUNK_POINTS: usize = 4096;
 
 /// Points per chunk: at least four chunks per worker (stealing slack for
 /// skewed kernels), capped at [`MAX_CHUNK_POINTS`]. Deterministic in
@@ -623,7 +624,7 @@ pub fn par_sweep_compiled_block_with(
 /// policy and a cooperative [`EvalBudget`].
 ///
 /// When the policy resolves to one worker — `Serial`, `threads(0 | 1)`, or
-/// a machine-default `Auto` below the break-even
+/// a machine-default `Auto` below the break-even size of
 /// [`calibration`](crate::calibration) — the serial leg runs and a
 /// deadline cuts off at a **block-aligned** completed prefix (the block is
 /// the budget's [`check_interval`](EvalBudget::check_interval)). Otherwise
@@ -771,11 +772,10 @@ fn mc_fill<'a>(
 ///
 /// `sampler(rng, k, columns)` draws one point's coordinates into slot `k`
 /// of each axis column, with the RNG seeded per *sample* by
-/// [`mc_sample_seed`] exactly like
-/// [`par_try_monte_carlo`](crate::par_try_monte_carlo) — so a model split
-/// into `(sampler, block_kernel)` gives the bit-identical outcome, for any
-/// budget or thread count. After the call, [`McBuffer::draws`] holds
-/// exactly the completed prefix.
+/// [`mc_sample_seed`] — so a model split into `(sampler, block_kernel)`
+/// gives the same draws as a scalar loop that seeds, samples and evaluates
+/// one point at a time, for any budget or thread count. After the call,
+/// [`McBuffer::draws`] holds exactly the completed prefix.
 ///
 /// # Errors
 ///
@@ -786,8 +786,9 @@ fn mc_fill<'a>(
 /// # Examples
 ///
 /// ```
-/// use act_dse::{monte_carlo_compiled_block_budgeted, par_try_monte_carlo};
+/// use act_dse::{mc_sample_seed, monte_carlo_compiled_block_budgeted};
 /// use act_dse::{EvalBudget, McBuffer};
+/// use act_rng::Rng;
 ///
 /// let mut buf = McBuffer::new();
 /// let (block, _) = monte_carlo_compiled_block_budgeted(
@@ -801,11 +802,13 @@ fn mc_fill<'a>(
 ///     &mut buf,
 ///     &EvalBudget::unlimited(),
 /// )?;
-/// let reference = par_try_monte_carlo(2_000, 42, |rng| {
+/// // The scalar loop: sample `i` seeded by `mc_sample_seed(42, i)`.
+/// for (i, &draw) in buf.draws().iter().enumerate() {
+///     let mut rng = Rng::seed_from_u64(mc_sample_seed(42, i as u64));
 ///     let y: f64 = rng.gen_range(0.7..1.0);
-///     0.9 * 1370.0 / y
-/// })?;
-/// assert_eq!(block, reference);
+///     assert_eq!(draw.to_bits(), (0.9 * 1370.0 / y).to_bits());
+/// }
+/// assert_eq!(block.stats.samples, 2_000);
 /// # Ok::<(), act_dse::McError>(())
 /// ```
 pub fn monte_carlo_compiled_block_budgeted(
@@ -824,10 +827,11 @@ pub fn monte_carlo_compiled_block_budgeted(
 }
 
 /// The Monte-Carlo engine: [`monte_carlo_compiled_block_budgeted`] under a
-/// [`Parallelism`] policy. When the policy resolves to one worker it runs
-/// the serial leg; otherwise every pool worker keeps its own sample
-/// columns and a deadline cuts off at a **chunk-aligned** completed
-/// prefix. Seed-splitting is per *sample*, so the outcome and
+/// [`Parallelism`] policy, resolved by
+/// [`Parallelism::resolve_for_monte_carlo`]. When the policy resolves to
+/// one worker it runs the serial leg; otherwise every pool worker keeps
+/// its own sample columns and a deadline cuts off at a **chunk-aligned**
+/// completed prefix. Seed-splitting is per *sample*, so the outcome and
 /// [`McBuffer::draws`] are bit-identical to the serial leg for any thread
 /// count.
 ///
@@ -847,7 +851,7 @@ pub fn par_monte_carlo_compiled_block_budgeted(
     buf: &mut McBuffer,
     budget: &EvalBudget,
 ) -> Result<(McOutcome, BatchRun), McError> {
-    let workers = parallelism.resolve_for(samples).workers.min(samples.max(1));
+    let workers = parallelism.resolve_for_monte_carlo(samples).workers.min(samples.max(1));
     if workers <= 1 {
         return monte_carlo_compiled_block_budgeted(
             samples,

@@ -12,15 +12,15 @@
 //! points are skipped and recorded in the returned [`SweepOutcome`] /
 //! [`McOutcome`] rather than panicking mid-exploration.
 //!
-//! Large design spaces evaluate in parallel through the `par_*` twins
-//! ([`par_sweep`], [`par_try_sweep`], [`par_sweep_finite`],
-//! [`par_monte_carlo`], [`par_try_monte_carlo`]): results come back in
-//! input order and — via per-sample seed-splitting for Monte-Carlo — are
-//! bit-for-bit identical to their serial counterparts for any thread
-//! count. The [`Parallelism`] policy picks the worker count (`Serial`,
-//! `Auto` honoring `ACT_THREADS`, or explicit `Threads(n)`); disabling the
-//! default `parallel` cargo feature removes the threading entirely while
-//! keeping every `par_*` API compiling (serial fallback).
+//! Parallel work runs on one persistent worker pool under one
+//! [`Parallelism`] policy (`Serial`, `Auto` honoring `ACT_THREADS`, or
+//! explicit `Threads(n)`). Index-driven tasks go through
+//! [`par_map_range`] / [`par_map_ordered`], which return results in input
+//! order, so a pure model gives the same output for any thread count.
+//! Batch work goes through the block engine below, where `Auto` pools a
+//! batch only above a committed break-even size ([`calibration`]).
+//! Disabling the default `parallel` cargo feature removes the threading
+//! entirely while keeping every API compiling (serial fallback).
 //!
 //! Million-point explorations use the block-vectorized batch engine
 //! ([`PointBatch`], [`sweep_compiled_block`],
@@ -30,8 +30,8 @@
 //! kernel receives whole column ranges (pair it with
 //! `act_core::EvalPlan::eval_block`), so the hot loop reads columns
 //! directly with no per-point gather, enum dispatch or heap allocation —
-//! with the same skip-and-record and seed-splitting semantics as the
-//! per-point API and results bit-identical to
+//! with the same skip-and-record semantics as [`sweep_finite`], per-sample
+//! seed-splitting ([`mc_sample_seed`]) and results bit-identical to
 //! `act_core::CompiledFootprint::eval`, the scalar oracle.
 //!
 //! # Examples
@@ -73,19 +73,17 @@ pub use batch::{
     BatchOutput, BatchRun, BatchShapeError, EvalBudget, McBuffer, PointBatch,
 };
 pub use montecarlo::{
-    mc_sample_seed, monte_carlo, par_monte_carlo, par_monte_carlo_with, par_try_monte_carlo,
-    par_try_monte_carlo_with, triangular, try_monte_carlo, try_triangular, McError, McOutcome,
-    McStats, TriangularError,
+    mc_sample_seed, monte_carlo, triangular, try_monte_carlo, try_triangular, McError,
+    McOutcome, McStats, TriangularError,
 };
 pub use optimize::{argmin_by, argmin_feasible, knee_point, normalize_to, normalize_to_last};
 pub use parallel::{
-    calibration, machine_parallelism, par_map_ordered, par_map_range, BatchDecision,
-    Calibration, CalibrationSource, Parallelism, ResolvedParallelism, ThreadsSource,
-    ThreadsWarning, ThreadsWarningReason,
+    calibration, machine_parallelism, monte_carlo_calibration, par_map_ordered, par_map_range,
+    BatchDecision, Calibration, CalibrationSource, Parallelism, ResolvedParallelism,
+    ThreadsSource, ThreadsWarning, ThreadsWarningReason,
 };
 pub use pareto::{dominates, pareto_indices, pareto_indices_reference};
 pub use sweep::{
-    linspace, linspace_iter, logspace, logspace_iter, par_sweep, par_sweep_finite,
-    par_sweep_finite_with, par_sweep_with, par_try_sweep, par_try_sweep_with, powers_of_two,
-    powers_of_two_iter, sweep, sweep_finite, try_sweep, RejectedPoint, SweepOutcome,
+    linspace, linspace_iter, logspace, logspace_iter, powers_of_two, powers_of_two_iter, sweep,
+    sweep_finite, try_sweep, RejectedPoint, SweepOutcome,
 };

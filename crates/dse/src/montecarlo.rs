@@ -4,17 +4,17 @@
 //! intensities, abatement effectiveness. Sampling the model under a
 //! distribution of inputs turns a point estimate into a defensible range.
 //!
-//! The closure-based entry points here take one sample at a time. For
-//! compiled-kernel hot loops, the block engine in [`batch`](crate::batch)
-//! — [`crate::monte_carlo_compiled_block_budgeted`] and its pooled twin
-//! [`crate::par_monte_carlo_compiled_block_budgeted`] — samples straight
-//! into reusable structure-of-arrays columns and evaluates whole blocks
-//! per kernel call, with the same per-sample seed-splitting and therefore
-//! bit-identical [`McStats`].
+//! The closure-based entry points here ([`monte_carlo`],
+//! [`try_monte_carlo`]) thread one RNG through every draw, serially.
+//! Parallel and compiled-kernel runs go through the block engine in
+//! [`batch`](crate::batch) — [`crate::monte_carlo_compiled_block_budgeted`]
+//! and its pooled twin [`crate::par_monte_carlo_compiled_block_budgeted`]
+//! — which samples straight into reusable structure-of-arrays columns,
+//! evaluates whole blocks per kernel call, and seeds sample `i` with
+//! [`mc_sample_seed`]`(seed, i)`, so its [`McStats`] are bit-identical for
+//! any thread count.
 
 use act_rng::Rng;
-
-use crate::parallel::{par_map_range, Parallelism};
 
 /// Summary statistics of a Monte-Carlo run over `n` finite samples.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -189,7 +189,8 @@ pub fn try_monte_carlo(
 }
 
 /// Derives the independent RNG seed for sample `index` of a run keyed by
-/// `master` — the seed-splitting scheme behind [`par_monte_carlo`].
+/// `master` — the seed-splitting scheme behind the block Monte-Carlo
+/// engine ([`crate::par_monte_carlo_compiled_block_budgeted`]).
 ///
 /// This is the SplitMix64 output function evaluated at position
 /// `index + 1` of the stream seeded by `master`: every sample gets its own
@@ -204,129 +205,6 @@ pub fn mc_sample_seed(master: u64, index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Deterministic parallel Monte-Carlo under the default
-/// [`Parallelism::Auto`] policy.
-///
-/// Unlike [`monte_carlo`] — which threads one RNG through every draw and
-/// is therefore inherently serial — each sample `i` gets its own `Rng`
-/// seeded with [`mc_sample_seed`]`(seed, i)`. Sample values consequently
-/// depend only on `(seed, i)`, so the returned statistics are **bit-for-bit
-/// identical** for any thread count, including [`Parallelism::Serial`] —
-/// pinned by property tests. The draws differ from [`monte_carlo`]'s for
-/// the same seed (a different, parallelizable RNG schedule), but are
-/// sampled from exactly the same distributions.
-///
-/// # Panics
-///
-/// Panics if `samples` is zero or the model produces non-finite outputs.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::par_monte_carlo;
-///
-/// let stats = par_monte_carlo(2_000, 42, |rng| {
-///     let y: f64 = rng.gen_range(0.7..1.0);
-///     0.9 * 1370.0 / y
-/// });
-/// assert!(stats.p05 < stats.mean && stats.mean < stats.p95);
-/// ```
-pub fn par_monte_carlo(
-    samples: usize,
-    seed: u64,
-    model: impl Fn(&mut Rng) -> f64 + Sync,
-) -> McStats {
-    par_monte_carlo_with(Parallelism::Auto, samples, seed, model)
-}
-
-/// Deterministic parallel Monte-Carlo under an explicit [`Parallelism`]
-/// policy. See [`par_monte_carlo`] for the determinism guarantee.
-///
-/// # Panics
-///
-/// Panics if `samples` is zero or the model produces non-finite outputs.
-pub fn par_monte_carlo_with(
-    parallelism: Parallelism,
-    samples: usize,
-    seed: u64,
-    model: impl Fn(&mut Rng) -> f64 + Sync,
-) -> McStats {
-    assert!(samples > 0, "need at least one sample");
-    let mut values = par_map_range(parallelism, samples, |i| {
-        let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, i as u64));
-        let v = model(&mut rng);
-        assert!(v.is_finite(), "model produced a non-finite sample");
-        v
-    });
-    summarize_slice(&mut values)
-}
-
-/// Fault-tolerant deterministic parallel Monte-Carlo under the default
-/// [`Parallelism::Auto`] policy: non-finite draws are skipped and counted
-/// exactly as in [`try_monte_carlo`], and — like [`par_monte_carlo`] — the
-/// outcome is bit-for-bit identical for any thread count.
-///
-/// # Errors
-///
-/// Returns [`McError::NoSamples`] if `samples` is zero and
-/// [`McError::AllRejected`] if every draw was non-finite.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::par_try_monte_carlo;
-///
-/// let outcome = par_try_monte_carlo(1_000, 42, |rng| {
-///     let y: f64 = rng.gen_range(-0.1..1.0);
-///     1370.0 / y.max(0.0) // y <= 0 -> +inf, rejected
-/// })?;
-/// assert!(outcome.rejected > 0);
-/// assert_eq!(outcome.stats.samples + outcome.rejected, 1_000);
-/// # Ok::<(), act_dse::McError>(())
-/// ```
-pub fn par_try_monte_carlo(
-    samples: usize,
-    seed: u64,
-    model: impl Fn(&mut Rng) -> f64 + Sync,
-) -> Result<McOutcome, McError> {
-    par_try_monte_carlo_with(Parallelism::Auto, samples, seed, model)
-}
-
-/// Fault-tolerant deterministic parallel Monte-Carlo under an explicit
-/// [`Parallelism`] policy.
-///
-/// # Errors
-///
-/// Returns [`McError::NoSamples`] if `samples` is zero and
-/// [`McError::AllRejected`] if every draw was non-finite.
-pub fn par_try_monte_carlo_with(
-    parallelism: Parallelism,
-    samples: usize,
-    seed: u64,
-    model: impl Fn(&mut Rng) -> f64 + Sync,
-) -> Result<McOutcome, McError> {
-    if samples == 0 {
-        return Err(McError::NoSamples);
-    }
-    let draws = par_map_range(parallelism, samples, |i| {
-        let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, i as u64));
-        model(&mut rng)
-    });
-    let mut values = Vec::with_capacity(samples);
-    let mut rejected = 0usize;
-    for v in draws {
-        if v.is_finite() {
-            values.push(v);
-        } else {
-            rejected += 1;
-        }
-    }
-    if values.is_empty() {
-        return Err(McError::AllRejected { rejected });
-    }
-    Ok(McOutcome { stats: summarize_slice(&mut values), rejected })
 }
 
 /// Reduces the finite samples to summary statistics in O(n), permuting
@@ -567,57 +445,6 @@ mod tests {
         assert_eq!(poisoned.relative_spread(), f64::INFINITY);
     }
 
-    #[test]
-    fn par_monte_carlo_is_thread_count_invariant() {
-        let f = |rng: &mut Rng| rng.gen_range(0.0..1.0);
-        let serial = par_monte_carlo_with(Parallelism::Serial, 5_000, 7, f);
-        let two = par_monte_carlo_with(Parallelism::threads(2), 5_000, 7, f);
-        let eight = par_monte_carlo_with(Parallelism::threads(8), 5_000, 7, f);
-        assert_eq!(serial, two);
-        assert_eq!(serial, eight);
-        assert!((serial.mean - 0.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn par_monte_carlo_matches_manual_seed_split_loop() {
-        let f = |rng: &mut Rng| rng.gen_range(0.0..1.0);
-        let parallel = par_monte_carlo_with(Parallelism::threads(4), 2_000, 11, f);
-        let mut values: Vec<f64> = (0..2_000u64)
-            .map(|i| {
-                let mut rng = Rng::seed_from_u64(mc_sample_seed(11, i));
-                f(&mut rng)
-            })
-            .collect();
-        let reference = summarize_slice(&mut values);
-        assert_eq!(parallel, reference);
-    }
-
-    #[test]
-    fn par_try_monte_carlo_is_thread_count_invariant() {
-        let f = |rng: &mut Rng| {
-            let v: f64 = rng.gen_range(0.0..1.0);
-            if v < 0.25 {
-                f64::NAN
-            } else {
-                v
-            }
-        };
-        let serial = par_try_monte_carlo_with(Parallelism::Serial, 4_000, 13, f).unwrap();
-        let parallel = par_try_monte_carlo_with(Parallelism::threads(8), 4_000, 13, f).unwrap();
-        assert_eq!(serial, parallel);
-        assert!(parallel.rejected > 0);
-        assert_eq!(parallel.stats.samples + parallel.rejected, 4_000);
-    }
-
-    #[test]
-    fn par_try_monte_carlo_reports_degenerate_runs() {
-        assert_eq!(par_try_monte_carlo(0, 0, |_| 1.0), Err(McError::NoSamples));
-        assert_eq!(
-            par_try_monte_carlo(10, 0, |_| f64::INFINITY),
-            Err(McError::AllRejected { rejected: 10 })
-        );
-    }
-
     /// The summarize contract: percentiles are bitwise the nearest-rank
     /// elements of a `total_cmp`-sorted copy, and the mean is bitwise the
     /// draw-order sum of the unpermuted input.
@@ -664,12 +491,6 @@ mod tests {
                 assert!(seen.insert(mc_sample_seed(master, index)));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn par_zero_samples_rejected() {
-        let _ = par_monte_carlo(0, 0, |_| 1.0);
     }
 
     #[test]

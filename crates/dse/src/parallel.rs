@@ -9,22 +9,27 @@
 //! in **input order**: parallel evaluation is observationally identical to
 //! the serial loop for any pure model.
 //!
+//! Two front-ends share the pool: [`par_map_range`] / [`par_map_ordered`]
+//! for index-driven work whose items are whole tasks (experiments, FTL
+//! simulations, per-point closures), and the block engine in `batch` for
+//! million-point sweeps and Monte-Carlo runs.
+//!
 //! Thread count is a [`Parallelism`] policy: `Serial` (no threads at all),
 //! `Auto` (the `ACT_THREADS` environment variable, else every available
 //! core) or an explicit `Threads(n)`. For batch work whose size is known,
-//! [`Parallelism::resolve_for`] additionally consults a one-shot
-//! [`Calibration`] — measured pool-dispatch overhead vs. per-point kernel
-//! cost, overridable via `ACT_PAR_THRESHOLD` — and falls back to serial
-//! below the measured break-even batch size, so `Auto` never pays dispatch
-//! overhead on batches too small to amortize it. The whole module compiles
-//! with the `parallel` cargo feature disabled too — every `par_*` entry
-//! point then degrades to the serial loop, so downstream code never needs
-//! `cfg` guards.
+//! [`Parallelism::resolve_for`] and [`Parallelism::resolve_for_monte_carlo`]
+//! additionally apply a committed break-even rule ([`Calibration`]): a
+//! machine-default `Auto` pools a batch only when every worker gets enough
+//! points to amortize the dispatch, and runs it serially otherwise.
+//! `ACT_PAR_THRESHOLD` overrides the rule. The whole module compiles with
+//! the `parallel` cargo feature disabled too — every entry point then
+//! degrades to the serial loop, so downstream code never needs `cfg`
+//! guards.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
-/// Thread-count policy for the `par_*` evaluation primitives.
+/// Thread-count policy for the parallel evaluation primitives.
 ///
 /// # Examples
 ///
@@ -120,13 +125,13 @@ impl Parallelism {
         }
     }
 
-    /// Resolves the policy for a batch of `len` points, applying the
-    /// break-even [`Calibration`] when the policy is a pure machine-default
-    /// `Auto`: batches below the calibrated threshold resolve to **one
-    /// worker** (serial), because pool-dispatch overhead would exceed the
-    /// parallel win. Explicit policies — `Serial`, `Threads(n)`, and a
-    /// valid `ACT_THREADS` override — bypass the threshold entirely; the
-    /// user asked for a specific worker count and gets it.
+    /// Resolves the policy for a block sweep of `len` points, applying the
+    /// break-even [`calibration`] when the policy is a pure machine-default
+    /// `Auto`: batches below the threshold resolve to **one worker**
+    /// (serial), because pool dispatch would cost more than the parallel
+    /// win. Explicit policies — `Serial`, `Threads(n)`, and a valid
+    /// `ACT_THREADS` override — bypass the threshold entirely; the user
+    /// asked for a specific worker count and gets it.
     ///
     /// The outcome is recorded in [`ResolvedParallelism::decision`] so bench
     /// records and service logs can show *why* a sweep ran serial.
@@ -136,24 +141,44 @@ impl Parallelism {
     /// ```
     /// use act_dse::{BatchDecision, Parallelism};
     ///
-    /// // Explicit policies never consult the calibration.
+    /// // Explicit policies never consult the threshold.
     /// let detail = Parallelism::threads(4).resolve_for(10);
     /// assert_eq!(detail.workers, 4);
     /// assert_eq!(detail.decision, BatchDecision::Unconditional);
     /// ```
     #[must_use]
     pub fn resolve_for(self, len: usize) -> ResolvedParallelism {
+        self.resolve_against(len, calibration())
+    }
+
+    /// [`Self::resolve_for`] for a Monte-Carlo run of `samples` draws,
+    /// under the [`monte_carlo_calibration`] threshold: a sample (seeding,
+    /// distribution draws, one kernel point) costs an order of magnitude
+    /// more than a sweep point, so far smaller runs already pay for a
+    /// pooled dispatch.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use act_dse::Parallelism;
+    ///
+    /// assert_eq!(Parallelism::Serial.resolve_for_monte_carlo(1 << 20).workers, 1);
+    /// ```
+    #[must_use]
+    pub fn resolve_for_monte_carlo(self, samples: usize) -> ResolvedParallelism {
+        self.resolve_against(samples, monte_carlo_calibration())
+    }
+
+    /// The shared body of the length-aware resolves.
+    fn resolve_against(self, len: usize, calibration: Calibration) -> ResolvedParallelism {
         let mut detail = self.resolve_detailed();
         if matches!(self, Self::Auto)
             && detail.source == ThreadsSource::Machine
             && detail.workers > 1
         {
-            let threshold = calibration().threshold_points;
-            if len < threshold {
+            detail.decision = decide(len, calibration.threshold_points);
+            if let BatchDecision::SerialBelowThreshold { .. } = detail.decision {
                 detail.workers = 1;
-                detail.decision = BatchDecision::SerialBelowThreshold { threshold };
-            } else {
-                detail.decision = BatchDecision::ParallelAboveThreshold { threshold };
             }
         }
         detail
@@ -184,26 +209,28 @@ pub struct ResolvedParallelism {
     /// A rejected `ACT_THREADS` override, when one was ignored.
     pub warning: Option<ThreadsWarning>,
     /// The break-even outcome when resolved through
-    /// [`Parallelism::resolve_for`]; [`BatchDecision::Unconditional`] for
-    /// plain [`Parallelism::resolve_detailed`] and explicit policies.
+    /// [`Parallelism::resolve_for`] or
+    /// [`Parallelism::resolve_for_monte_carlo`];
+    /// [`BatchDecision::Unconditional`] for plain
+    /// [`Parallelism::resolve_detailed`] and explicit policies.
     pub decision: BatchDecision,
 }
 
-/// The break-even outcome of a length-aware [`Parallelism::resolve_for`].
+/// The break-even outcome of a length-aware resolve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BatchDecision {
     /// No threshold was consulted: an explicit policy, an `ACT_THREADS`
     /// override, a single-core host, or a plain length-independent resolve.
     Unconditional,
-    /// `Auto` dispatched in parallel: the batch cleared the calibrated
-    /// break-even threshold.
+    /// `Auto` dispatched in parallel: the batch cleared the break-even
+    /// threshold.
     ParallelAboveThreshold {
         /// The threshold that was cleared, in points.
         threshold: usize,
     },
-    /// `Auto` fell back to serial: the batch was below the calibrated
-    /// break-even threshold, so dispatch overhead would exceed the win.
+    /// `Auto` fell back to serial: the batch was below the break-even
+    /// threshold, so dispatch overhead would exceed the win.
     SerialBelowThreshold {
         /// The threshold that was not met, in points.
         threshold: usize,
@@ -222,19 +249,23 @@ impl BatchDecision {
     }
 }
 
-/// The process-wide break-even calibration consulted by
-/// [`Parallelism::resolve_for`]: the minimum batch size (in points) at
-/// which a machine-default `Auto` dispatches in parallel.
+/// The break-even threshold consulted by [`Parallelism::resolve_for`]:
+/// the minimum batch size (in points) at which a machine-default `Auto`
+/// dispatches in parallel.
 ///
-/// Resolution order, decided once per process and cached:
+/// Resolution order:
 ///
 /// 1. `ACT_PAR_THRESHOLD` — a non-negative integer forces the threshold
 ///    (`0` means "always parallel"); invalid values are ignored.
 /// 2. Single-core hosts (or the `parallel` feature compiled out) pin the
 ///    threshold to `usize::MAX`: parallel can never win.
-/// 3. Otherwise a one-shot microcalibration measures pool-dispatch
-///    overhead against a reference kernel's per-point cost and picks the
-///    break-even batch size with a 2× safety margin.
+/// 3. Otherwise the committed rule: every worker must get a fixed number
+///    of points, so the threshold is that count times the machine's
+///    worker count. A block sweep needs one full 4,096-point chunk per
+///    worker ([`calibration`]); a Monte-Carlo sample costs far more, so
+///    its share is smaller ([`monte_carlo_calibration`]). The counts were
+///    read off a warm serial-vs-pooled table; nothing is timed at run
+///    time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Calibration {
     /// Minimum batch length for a parallel `Auto` dispatch.
@@ -249,8 +280,8 @@ pub struct Calibration {
 pub enum CalibrationSource {
     /// A valid `ACT_PAR_THRESHOLD` environment override.
     Env,
-    /// The one-shot dispatch-vs-kernel microcalibration.
-    Measured,
+    /// The committed points-per-worker break-even rule.
+    Rule,
     /// A single-core host (or the `parallel` feature compiled out):
     /// parallel dispatch can never win, threshold is `usize::MAX`.
     SingleCore,
@@ -262,7 +293,7 @@ impl CalibrationSource {
     pub fn as_str(self) -> &'static str {
         match self {
             Self::Env => "env",
-            Self::Measured => "measured",
+            Self::Rule => "rule",
             Self::SingleCore => "single-core",
         }
     }
@@ -292,26 +323,67 @@ impl act_json::ToJson for Calibration {
     }
 }
 
-/// The cached process-wide [`Calibration`]. The first call on a multi-core
-/// host without an `ACT_PAR_THRESHOLD` override runs the microcalibration
-/// (well under a millisecond); every later call is a load.
+/// Points each worker must get before `Auto` pools a block sweep: one full
+/// 4,096-point chunk. Warm on a 2-core host the pooled block sweep breaks
+/// even with the serial one at ~5–6k points (~5 ns per point against a few
+/// microseconds of dispatch) and wins 1.1–1.3× from 8k points on.
+const SWEEP_POINTS_PER_WORKER: usize = crate::batch::MAX_CHUNK_POINTS;
+
+/// Samples each worker must get before `Auto` pools a Monte-Carlo run. A
+/// fleet sample costs ~60–90 ns (per-sample seeding plus libm draws), so
+/// on a 2-core host the pooled fleet run breaks even at ~300–400 samples
+/// and wins from 512 on.
+const MC_SAMPLES_PER_WORKER: usize = 256;
+
+/// The break-even threshold for block sweeps, as [`Calibration`]
+/// resolves it. The `ACT_PAR_THRESHOLD` override and the single-core pin
+/// are read once per process; every call after the first is a load and a
+/// multiply.
 #[must_use]
 pub fn calibration() -> Calibration {
-    static CALIBRATION: OnceLock<Calibration> = OnceLock::new();
-    *CALIBRATION.get_or_init(calibrate)
+    calibrate(SWEEP_POINTS_PER_WORKER)
 }
 
-fn calibrate() -> Calibration {
-    if let Some(threshold_points) = env_par_threshold() {
-        return Calibration { threshold_points, source: CalibrationSource::Env };
-    }
-    if machine_parallelism() <= 1 {
-        return Calibration {
+/// The break-even threshold for Monte-Carlo runs, consulted by
+/// [`Parallelism::resolve_for_monte_carlo`]. Same resolution order as
+/// [`calibration`]; only the committed per-worker count differs.
+#[must_use]
+pub fn monte_carlo_calibration() -> Calibration {
+    calibrate(MC_SAMPLES_PER_WORKER)
+}
+
+fn calibrate(points_per_worker: usize) -> Calibration {
+    static PINNED: OnceLock<Option<Calibration>> = OnceLock::new();
+    let workers = machine_parallelism();
+    let pinned = PINNED.get_or_init(|| match env_par_threshold() {
+        Some(threshold_points) => {
+            Some(Calibration { threshold_points, source: CalibrationSource::Env })
+        }
+        None if workers <= 1 => Some(Calibration {
             threshold_points: usize::MAX,
             source: CalibrationSource::SingleCore,
-        };
+        }),
+        None => None,
+    });
+    pinned.unwrap_or(Calibration {
+        threshold_points: rule_threshold(points_per_worker, workers),
+        source: CalibrationSource::Rule,
+    })
+}
+
+/// The committed rule: a batch is worth pooling on `workers` workers once
+/// each gets `points_per_worker` points.
+fn rule_threshold(points_per_worker: usize, workers: usize) -> usize {
+    points_per_worker.saturating_mul(workers)
+}
+
+/// Which side of `threshold` a batch of `len` points falls on.
+fn decide(len: usize, threshold: usize) -> BatchDecision {
+    if len < threshold {
+        BatchDecision::SerialBelowThreshold { threshold }
+    } else {
+        BatchDecision::ParallelAboveThreshold { threshold }
     }
-    Calibration { threshold_points: measure_threshold(), source: CalibrationSource::Measured }
 }
 
 /// The `ACT_PAR_THRESHOLD` override, `None` when unset or unusable.
@@ -327,54 +399,6 @@ fn env_par_threshold() -> Option<usize> {
 /// here — it means "no threshold, always dispatch in parallel".
 fn parse_par_threshold(raw: &str) -> Option<usize> {
     raw.trim().parse::<usize>().ok()
-}
-
-/// Measures the break-even batch size: pool-dispatch overhead divided by
-/// the per-point serial win of going parallel, with a 2× safety margin so
-/// borderline batches stay serial. The reference kernel approximates the
-/// flop mix of a compiled footprint point; callers with much heavier
-/// kernels can lower `ACT_PAR_THRESHOLD`, much lighter ones raise it.
-#[cfg(feature = "parallel")]
-fn measure_threshold() -> usize {
-    let workers = machine_parallelism();
-    let overhead = crate::pool::measure_dispatch_overhead(workers, 16);
-    // Per-point cost of the reference kernel, serial, best of 3 runs.
-    const POINTS: usize = 65_536;
-    let mut per_point_ns = f64::INFINITY;
-    for _ in 0..3 {
-        let start = std::time::Instant::now();
-        let mut acc = 0.0f64;
-        for i in 0..POINTS {
-            acc += reference_kernel(i as f64);
-        }
-        let elapsed = start.elapsed().as_nanos() as f64;
-        // Keep `acc` observable so the loop cannot be optimized away.
-        std::hint::black_box(acc);
-        per_point_ns = per_point_ns.min(elapsed / POINTS as f64);
-    }
-    // Parallel wins when n·c − n·c/w > overhead, i.e. beyond
-    // n = overhead / (c · (1 − 1/w)); double it for a safety margin.
-    let w = workers as f64;
-    let efficiency = 1.0 - 1.0 / w;
-    let overhead_ns = overhead.as_nanos() as f64;
-    let break_even = (2.0 * overhead_ns) / (per_point_ns.max(0.1) * efficiency.max(0.1));
-    // Clamp to sane bounds: never parallelize truly tiny batches, never
-    // refuse batches big enough that any real overhead is amortized.
-    break_even.clamp(512.0, 1_048_576.0) as usize
-}
-
-#[cfg(not(feature = "parallel"))]
-fn measure_threshold() -> usize {
-    usize::MAX
-}
-
-/// A few flops approximating one compiled-footprint evaluation.
-#[cfg(feature = "parallel")]
-#[inline]
-fn reference_kernel(x: f64) -> f64 {
-    let a = x.mul_add(1.000_000_119, 0.5);
-    let b = a.mul_add(a, x) + 1.0;
-    b / (a.abs() + 1.0) + (a * b).abs().sqrt()
 }
 
 /// Where a resolved worker count came from.
@@ -404,10 +428,13 @@ impl ThreadsSource {
 /// The host's available parallelism as the engine sees it: what
 /// [`std::thread::available_parallelism`] reports (which honors cgroup and
 /// affinity limits), clamped to 1 when the call fails, and 1 whenever the
-/// `parallel` feature is compiled out.
+/// `parallel` feature is compiled out. Read once per process: on Linux the
+/// std call reads the cgroup quota files, ~15 µs, which every resolve
+/// would otherwise pay.
 #[must_use]
 pub fn machine_parallelism() -> usize {
-    default_threads()
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(default_threads)
 }
 
 /// A set-but-unusable `ACT_THREADS` value, reported by
@@ -486,10 +513,10 @@ fn default_threads() -> usize {
 /// Applies `f(index, item)` to every element of a conceptual range
 /// `0..len`, in parallel, returning results in index order.
 ///
-/// This is the engine under [`par_map_ordered`] and the `par_*` sweep and
-/// Monte-Carlo entry points; it is public so model code can parallelize
-/// index-driven work (e.g. per-sample seeding) without materializing an
-/// input slice.
+/// This is the engine under [`par_map_ordered`]; it is public so model
+/// code can parallelize index-driven work (e.g. per-sample seeding)
+/// without materializing an input slice. Items are whole tasks, so no
+/// break-even threshold applies: `Auto` uses every worker it resolves to.
 ///
 /// A panicking `f` propagates its payload to the caller after every worker
 /// has stopped, matching the serial loop's failure mode.
@@ -683,36 +710,70 @@ mod tests {
     fn calibration_is_cached_and_coherent() {
         let first = calibration();
         assert_eq!(first, calibration(), "calibration must be stable per process");
+        let mc = monte_carlo_calibration();
+        assert_eq!(mc.source, first.source, "both rules share one override and pin");
         match first.source {
             CalibrationSource::Env => {
                 let expected = std::env::var("ACT_PAR_THRESHOLD")
                     .ok()
                     .and_then(|raw| parse_par_threshold(&raw));
                 assert_eq!(Some(first.threshold_points), expected);
+                assert_eq!(mc.threshold_points, first.threshold_points);
             }
             CalibrationSource::SingleCore => {
                 assert!(machine_parallelism() <= 1);
                 assert_eq!(first.threshold_points, usize::MAX);
+                assert_eq!(mc.threshold_points, usize::MAX);
             }
-            CalibrationSource::Measured => {
-                assert!(machine_parallelism() > 1);
-                assert!((512..=1_048_576).contains(&first.threshold_points));
+            CalibrationSource::Rule => {
+                let workers = machine_parallelism();
+                assert!(workers > 1);
+                assert_eq!(first.threshold_points, SWEEP_POINTS_PER_WORKER * workers);
+                assert_eq!(mc.threshold_points, MC_SAMPLES_PER_WORKER * workers);
             }
         }
     }
 
+    /// The committed rule, pinned without touching the environment: on 2
+    /// and 4 workers a block sweep pools from one full 4,096-point chunk
+    /// per worker and a Monte-Carlo run from 256 samples per worker, and
+    /// one point less stays serial.
+    #[test]
+    fn rule_threshold_decides_both_sides_of_the_boundary() {
+        for (workers, sweep, mc) in [(2, 8_192, 512), (4, 16_384, 1_024)] {
+            for (per_worker, threshold) in
+                [(SWEEP_POINTS_PER_WORKER, sweep), (MC_SAMPLES_PER_WORKER, mc)]
+            {
+                assert_eq!(rule_threshold(per_worker, workers), threshold);
+                assert_eq!(
+                    decide(threshold - 1, threshold),
+                    BatchDecision::SerialBelowThreshold { threshold }
+                );
+                assert_eq!(
+                    decide(threshold, threshold),
+                    BatchDecision::ParallelAboveThreshold { threshold }
+                );
+            }
+        }
+        assert_eq!(rule_threshold(usize::MAX, 2), usize::MAX, "saturates, never wraps");
+    }
+
     /// Break-even fallback: a tiny batch under a machine-default `Auto`
     /// must resolve to one worker (serial) on any host — multi-core hosts
-    /// via the calibrated threshold (which is clamped ≥ 512), single-core
+    /// via the rule threshold (at least 256 points per worker), single-core
     /// hosts trivially.
     #[test]
     fn tiny_batches_resolve_serial_under_auto() {
         let detail = Parallelism::Auto.resolve_for(4);
+        let mc = Parallelism::Auto.resolve_for_monte_carlo(4);
         if detail.source == ThreadsSource::Machine {
             assert_eq!(detail.workers, 1, "4 points can never amortize dispatch");
+            assert_eq!(mc.workers, 1, "4 samples can never amortize dispatch");
             if machine_parallelism() > 1 {
                 let threshold = calibration().threshold_points;
                 assert_eq!(detail.decision, BatchDecision::SerialBelowThreshold { threshold });
+                let threshold = monte_carlo_calibration().threshold_points;
+                assert_eq!(mc.decision, BatchDecision::SerialBelowThreshold { threshold });
             }
         }
     }
@@ -745,7 +806,7 @@ mod tests {
             "serial-below-threshold"
         );
         assert_eq!(CalibrationSource::Env.as_str(), "env");
-        assert_eq!(CalibrationSource::Measured.as_str(), "measured");
+        assert_eq!(CalibrationSource::Rule.as_str(), "rule");
         assert_eq!(CalibrationSource::SingleCore.as_str(), "single-core");
     }
 
@@ -763,11 +824,10 @@ mod tests {
             r#"{"threshold_points":null,"source":"single-core"}"#
         );
 
-        let measured =
-            Calibration { threshold_points: 2048, source: CalibrationSource::Measured };
+        let rule = Calibration { threshold_points: 2048, source: CalibrationSource::Rule };
         assert_eq!(
-            measured.to_json().render_compact(),
-            r#"{"threshold_points":2048,"source":"measured"}"#
+            rule.to_json().render_compact(),
+            r#"{"threshold_points":2048,"source":"rule"}"#
         );
     }
 

@@ -1,4 +1,4 @@
-//! The persistent worker pool behind every `par_*` entry point.
+//! The persistent worker pool behind `par_map_range` and the block engine.
 //!
 //! Before this module existed, each parallel call spawned fresh OS threads
 //! through `std::thread::scope` and joined them before returning. Thread
@@ -15,7 +15,7 @@
 //!   pulls indices from a shared atomic cursor until it is drained), so a
 //!   single job already saturates the machine; queueing several would only
 //!   add contention. A dispatch while another job is running — including a
-//!   nested `par_*` call from inside a running task — degrades to running
+//!   nested parallel call from inside a running task — degrades to running
 //!   the task inline on the caller, which is always correct because task
 //!   output is position-addressed and cursor-driven.
 //! * **The caller participates.** `run(workers, task)` executes `task` on
@@ -45,7 +45,6 @@
 //! returns, so the borrow it was created from is live for every access.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A lifetime-erased pointer to the current job's task closure. Only
@@ -99,7 +98,7 @@ fn shared() -> &'static Shared {
 }
 
 /// Serializes dispatches. Taken with `try_lock` only: a contended gate
-/// (another job in flight, or a nested `par_*` call) falls back to inline
+/// (another job in flight, or a nested parallel call) falls back to inline
 /// execution instead of blocking — a pool worker blocking here while its
 /// own job waits on it would deadlock.
 fn dispatch_gate() -> &'static Mutex<()> {
@@ -245,29 +244,10 @@ fn worker_loop() {
     }
 }
 
-/// Measures the pool's steady-state dispatch overhead: the wall-clock cost
-/// of handing a trivial job to `workers` threads and joining it. Used by
-/// the one-shot calibration in [`crate::parallel`]; the first dispatch
-/// (which spawns the threads) is excluded by a warmup round.
-pub(crate) fn measure_dispatch_overhead(workers: usize, reps: u32) -> std::time::Duration {
-    let touched = AtomicUsize::new(0);
-    let task = || {
-        touched.fetch_add(1, Ordering::Relaxed);
-    };
-    run(workers, &task); // warmup: spawns the threads
-    let mut best = std::time::Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let start = std::time::Instant::now();
-        run(workers, &task);
-        best = best.min(start.elapsed());
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn caller_only_when_single_worker() {
@@ -317,11 +297,5 @@ mod tests {
             });
         });
         assert!(inner_hits.load(Ordering::Relaxed) >= 1);
-    }
-
-    #[test]
-    fn dispatch_overhead_is_measurable() {
-        let overhead = measure_dispatch_overhead(2, 4);
-        assert!(overhead < std::time::Duration::from_secs(1));
     }
 }

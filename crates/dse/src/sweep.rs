@@ -1,7 +1,5 @@
 //! Parameter-sweep helpers.
 
-use crate::parallel::{par_map_ordered, Parallelism};
-
 /// Streaming variant of [`powers_of_two`]: yields the powers of two from
 /// `lo` to `hi` inclusive without allocating, for use directly inside hot
 /// sweep loops.
@@ -250,148 +248,6 @@ pub fn sweep_finite<P>(
     })
 }
 
-/// Parallel [`sweep`] under the default [`Parallelism::Auto`] policy.
-///
-/// Results come back in input order, so for any pure model
-/// `par_sweep(params, f) == sweep(params, f)` — pinned by property tests.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::par_sweep;
-/// let squares = par_sweep([1, 2, 3], |x| x * x);
-/// assert_eq!(squares, vec![(1, 1), (2, 4), (3, 9)]);
-/// ```
-pub fn par_sweep<P, R>(
-    params: impl IntoIterator<Item = P>,
-    f: impl Fn(&P) -> R + Sync,
-) -> Vec<(P, R)>
-where
-    P: Sync,
-    R: Send,
-{
-    par_sweep_with(Parallelism::Auto, params, f)
-}
-
-/// Parallel [`sweep`] under an explicit [`Parallelism`] policy.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::{par_sweep_with, Parallelism};
-/// let serial = par_sweep_with(Parallelism::Serial, 0..100u32, |x| x + 1);
-/// let parallel = par_sweep_with(Parallelism::threads(4), 0..100u32, |x| x + 1);
-/// assert_eq!(serial, parallel);
-/// ```
-pub fn par_sweep_with<P, R>(
-    parallelism: Parallelism,
-    params: impl IntoIterator<Item = P>,
-    f: impl Fn(&P) -> R + Sync,
-) -> Vec<(P, R)>
-where
-    P: Sync,
-    R: Send,
-{
-    let params: Vec<P> = params.into_iter().collect();
-    let results = par_map_ordered(parallelism, &params, |_, p| f(p));
-    params.into_iter().zip(results).collect()
-}
-
-/// Parallel [`try_sweep`] under the default [`Parallelism::Auto`] policy:
-/// evaluates every parameter concurrently while preserving the serial
-/// skip-and-record semantics — successes in sweep order, rejections
-/// carrying their original sweep index and rendered reason.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::par_try_sweep;
-///
-/// let outcome = par_try_sweep([1.0_f64, -1.0, 4.0], |x| {
-///     if *x >= 0.0 { Ok(x.sqrt()) } else { Err("negative input") }
-/// });
-/// assert_eq!(outcome.results.len(), 2);
-/// assert_eq!(outcome.rejected[0].index, 1);
-/// ```
-pub fn par_try_sweep<P, R, E>(
-    params: impl IntoIterator<Item = P>,
-    f: impl Fn(&P) -> Result<R, E> + Sync,
-) -> SweepOutcome<P, R>
-where
-    P: Sync,
-    R: Send,
-    E: std::fmt::Display,
-{
-    par_try_sweep_with(Parallelism::Auto, params, f)
-}
-
-/// Parallel [`try_sweep`] under an explicit [`Parallelism`] policy.
-pub fn par_try_sweep_with<P, R, E>(
-    parallelism: Parallelism,
-    params: impl IntoIterator<Item = P>,
-    f: impl Fn(&P) -> Result<R, E> + Sync,
-) -> SweepOutcome<P, R>
-where
-    P: Sync,
-    R: Send,
-    E: std::fmt::Display,
-{
-    let params: Vec<P> = params.into_iter().collect();
-    let evaluated =
-        par_map_ordered(parallelism, &params, |_, p| f(p).map_err(|e| e.to_string()));
-    let mut results = Vec::new();
-    let mut rejected = Vec::new();
-    for (index, (p, outcome)) in params.into_iter().zip(evaluated).enumerate() {
-        match outcome {
-            Ok(r) => results.push((p, r)),
-            Err(reason) => rejected.push(RejectedPoint { index, reason }),
-        }
-    }
-    SweepOutcome { results, rejected }
-}
-
-/// Parallel [`sweep_finite`] under the default [`Parallelism::Auto`]
-/// policy: rejects NaN/infinite results with the same reason strings as
-/// the serial path.
-///
-/// # Examples
-///
-/// ```
-/// use act_dse::par_sweep_finite;
-///
-/// let outcome = par_sweep_finite([4.0, 0.0, 1.0], |x| 1.0 / x);
-/// assert_eq!(outcome.results.len(), 2);
-/// assert_eq!(outcome.rejected[0].index, 1);
-/// ```
-pub fn par_sweep_finite<P>(
-    params: impl IntoIterator<Item = P>,
-    f: impl Fn(&P) -> f64 + Sync,
-) -> SweepOutcome<P, f64>
-where
-    P: Sync,
-{
-    par_sweep_finite_with(Parallelism::Auto, params, f)
-}
-
-/// Parallel [`sweep_finite`] under an explicit [`Parallelism`] policy.
-pub fn par_sweep_finite_with<P>(
-    parallelism: Parallelism,
-    params: impl IntoIterator<Item = P>,
-    f: impl Fn(&P) -> f64 + Sync,
-) -> SweepOutcome<P, f64>
-where
-    P: Sync,
-{
-    par_try_sweep_with(parallelism, params, |p| {
-        let v = f(p);
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(format!("model produced a non-finite result ({v})"))
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,33 +352,5 @@ mod tests {
     #[should_panic(expected = "exceeds upper bound")]
     fn powers_of_two_iter_rejects_inverted_range() {
         let _ = powers_of_two_iter(16, 8);
-    }
-
-    #[test]
-    fn par_sweep_matches_serial_sweep() {
-        let params = powers_of_two(1, 1 << 20);
-        let serial = sweep(params.clone(), |m| u64::from(*m) * 3);
-        let parallel = par_sweep_with(Parallelism::threads(4), params, |m| u64::from(*m) * 3);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn par_try_sweep_matches_serial_try_sweep() {
-        let check = |i: &i32| if i % 3 == 0 { Ok(i * 10) } else { Err("not divisible") };
-        let serial = try_sweep(0..50, check);
-        let parallel = par_try_sweep_with(Parallelism::threads(4), 0..50, check);
-        assert_eq!(serial.results, parallel.results);
-        assert_eq!(serial.rejected, parallel.rejected);
-    }
-
-    #[test]
-    fn par_sweep_finite_matches_serial_reasons() {
-        let model = |x: &f64| 1.0 / x;
-        let params = [1.0, 0.0, -2.0, f64::NAN];
-        let serial = sweep_finite(params, model);
-        let parallel = par_sweep_finite_with(Parallelism::threads(3), params, model);
-        assert_eq!(serial.results, parallel.results);
-        assert_eq!(serial.rejected, parallel.rejected);
-        assert_eq!(parallel.rejected[0].reason, "model produced a non-finite result (inf)");
     }
 }

@@ -1,7 +1,7 @@
 //! Equivalence and determinism properties of the block-vectorized batch
 //! engine: it must reproduce a scalar one-point-at-a-time loop bit for
 //! bit — same values, same rejection log as `sweep_finite`, same
-//! Monte-Carlo summaries as `par_try_monte_carlo` — for any batch length,
+//! Monte-Carlo draws and summaries as a scalar seed-split loop — for any batch length,
 //! thread count, and budget, with cut-offs landing on identical completed
 //! prefixes.
 //!
@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use act_dse::{
     mc_sample_seed, monte_carlo_compiled_block_budgeted,
     par_monte_carlo_compiled_block_budgeted, par_sweep_compiled_block_budgeted,
-    par_sweep_compiled_block_with, par_try_monte_carlo_with, sweep_compiled_block,
-    sweep_finite, BatchOutput, BatchRun, BatchShapeError, EvalBudget, McBuffer, Parallelism,
+    par_sweep_compiled_block_with, sweep_compiled_block, sweep_finite, BatchOutput, BatchRun,
+    BatchShapeError, EvalBudget, McBuffer, McError, McOutcome, McStats, Parallelism,
     PointBatch, RejectedPoint,
 };
 use act_rng::Rng;
@@ -181,6 +181,27 @@ fn draw(rng: &mut Rng) -> (f64, f64) {
     (rng.gen_range(-4.0..4.0), rng.gen_range(-2.0..2.0))
 }
 
+/// The scalar summary oracle, straight from the `McStats` contract: the
+/// finite draws summed in draw order for the mean, nearest-rank
+/// percentiles of a `total_cmp` sort, and the non-finite draws counted.
+fn scalar_outcome(draws: &[f64]) -> Result<McOutcome, McError> {
+    let finite: Vec<f64> = draws.iter().copied().filter(|v| v.is_finite()).collect();
+    let rejected = draws.len() - finite.len();
+    if draws.is_empty() {
+        return Err(McError::NoSamples);
+    }
+    if finite.is_empty() {
+        return Err(McError::AllRejected { rejected });
+    }
+    let samples = finite.len();
+    let mean = finite.iter().sum::<f64>() / samples as f64;
+    let mut sorted = finite;
+    sorted.sort_by(f64::total_cmp);
+    let rank = |q: f64| sorted[((samples - 1) as f64 * q).round() as usize];
+    let stats = McStats { mean, p05: rank(0.05), p50: rank(0.5), p95: rank(0.95), samples };
+    Ok(McOutcome { stats, rejected })
+}
+
 #[test]
 fn block_monte_carlo_matches_scalar_monte_carlo_bitwise() {
     let block_sampler = |rng: &mut Rng, k: usize, columns: &mut [Vec<f64>]| {
@@ -191,11 +212,6 @@ fn block_monte_carlo_matches_scalar_monte_carlo_bitwise() {
     for seed in [0, 42, 0xAC70, u64::MAX] {
         for samples in [1, 63, 64, 65, 1024, 3000, 5000] {
             let context = format!("seed={seed}, samples={samples}");
-            let reference =
-                par_try_monte_carlo_with(Parallelism::Serial, samples, seed, |rng| {
-                    let (x, y) = draw(rng);
-                    model(x, y)
-                });
             // The scalar draw loop: every sample's value, rejected as NaN.
             let scalar_draws: Vec<f64> = (0..samples)
                 .map(|i| {
@@ -209,6 +225,7 @@ fn block_monte_carlo_matches_scalar_monte_carlo_bitwise() {
                     }
                 })
                 .collect();
+            let reference = scalar_outcome(&scalar_draws);
             let mut serial_buf = McBuffer::default();
             let serial = monte_carlo_compiled_block_budgeted(
                 samples,

@@ -1,15 +1,16 @@
 //! Determinism and equivalence properties of the parallel evaluation
-//! engine: `par_sweep == sweep`, parallel-vs-serial Monte-Carlo bitwise
-//! equality, and the skyline `pareto_indices` against the quadratic
-//! reference oracle.
+//! engine: `par_map_ordered` over a per-point model equals the serial
+//! `sweep` / `try_sweep` / `sweep_finite`, seed-split per-sample draws
+//! through `par_map_range` are bitwise thread-count invariant, and the
+//! skyline `pareto_indices` matches the quadratic reference oracle.
 //!
 //! The properties are driven from seeded `act_rng` streams, so the
 //! hermetic std-only workspace pins them reproducibly.
 
 use act_dse::{
-    monte_carlo, par_monte_carlo_with, par_sweep_finite_with, par_sweep_with,
-    par_try_monte_carlo_with, par_try_sweep_with, pareto_indices, pareto_indices_reference,
-    sweep, sweep_finite, try_monte_carlo, try_sweep, Parallelism,
+    mc_sample_seed, monte_carlo, par_map_ordered, par_map_range, pareto_indices,
+    pareto_indices_reference, sweep, sweep_finite, try_monte_carlo, try_sweep, Parallelism,
+    RejectedPoint,
 };
 use act_rng::Rng;
 
@@ -29,21 +30,42 @@ fn draws(seed: u64, n: usize, lo: f64, hi: f64) -> Vec<f64> {
     (0..n).map(|_| rng.gen_range(lo..hi)).collect()
 }
 
+/// `par_map_ordered` over a fallible per-point model, partitioned in index
+/// order the way `try_sweep` does it.
+fn par_try_map<P: Clone + Sync, R: Send, E: std::fmt::Display>(
+    parallelism: Parallelism,
+    params: &[P],
+    model: impl Fn(&P) -> Result<R, E> + Sync,
+) -> (Vec<(P, R)>, Vec<RejectedPoint>) {
+    let evaluated =
+        par_map_ordered(parallelism, params, |_, p| model(p).map_err(|e| e.to_string()));
+    let mut results = Vec::new();
+    let mut rejected = Vec::new();
+    for (index, (p, outcome)) in params.iter().zip(evaluated).enumerate() {
+        match outcome {
+            Ok(r) => results.push((p.clone(), r)),
+            Err(reason) => rejected.push(RejectedPoint { index, reason }),
+        }
+    }
+    (results, rejected)
+}
+
 #[test]
-fn par_sweep_equals_serial_sweep() {
+fn par_map_ordered_equals_serial_sweep() {
     let model = |x: &f64| x.mul_add(3.0, 1.0).abs().sqrt();
     for (i, n) in SIZES.into_iter().enumerate() {
         let params = draws(i as u64, n, -1e6, 1e6);
         let serial = sweep(params.clone(), model);
         for workers in WORKERS {
-            let parallel = par_sweep_with(threads(workers), params.clone(), model);
+            let values = par_map_ordered(threads(workers), &params, |_, x| model(x));
+            let parallel: Vec<(f64, f64)> = params.iter().copied().zip(values).collect();
             assert_eq!(serial, parallel, "n={n}, workers={workers}");
         }
     }
 }
 
 #[test]
-fn par_try_sweep_equals_serial_try_sweep() {
+fn par_map_ordered_equals_serial_try_sweep() {
     let model = |x: &i64| {
         if x % 7 == 0 {
             Err(format!("multiple of seven: {x}"))
@@ -57,44 +79,63 @@ fn par_try_sweep_equals_serial_try_sweep() {
         let params: Vec<i64> = (0..n).map(|_| rng.gen_range(0..200_u64) as i64 - 100).collect();
         let serial = try_sweep(params.clone(), model);
         for workers in WORKERS {
-            let parallel = par_try_sweep_with(threads(workers), params.clone(), model);
-            assert_eq!(serial.results, parallel.results, "n={n}, workers={workers}");
-            assert_eq!(serial.rejected, parallel.rejected, "n={n}, workers={workers}");
+            let (results, rejected) = par_try_map(threads(workers), &params, model);
+            assert_eq!(serial.results, results, "n={n}, workers={workers}");
+            assert_eq!(serial.rejected, rejected, "n={n}, workers={workers}");
         }
     }
 }
 
 #[test]
-fn par_sweep_finite_equals_serial_sweep_finite() {
+fn par_map_ordered_equals_serial_sweep_finite() {
     // Poles at 0 produce infinities that must be rejected identically;
     // inject exact zeros so the rejection path is always exercised.
-    let model = |x: &f64| 1.0 / x;
+    let model = |x: &f64| {
+        let v = 1.0 / x;
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(format!("model produced a non-finite result ({v})"))
+        }
+    };
     for (i, n) in SIZES.into_iter().enumerate() {
         let mut params = draws(200 + i as u64, n, -10.0, 10.0);
         for slot in params.iter_mut().step_by(5) {
             *slot = 0.0;
         }
-        let serial = sweep_finite(params.clone(), model);
+        let serial = sweep_finite(params.clone(), |x| 1.0 / x);
         for workers in WORKERS {
-            let parallel = par_sweep_finite_with(threads(workers), params.clone(), model);
-            assert_eq!(serial.results, parallel.results, "n={n}, workers={workers}");
-            assert_eq!(serial.rejected, parallel.rejected, "n={n}, workers={workers}");
+            let (results, rejected) = par_try_map(threads(workers), &params, model);
+            assert_eq!(serial.results, results, "n={n}, workers={workers}");
+            assert_eq!(serial.rejected, rejected, "n={n}, workers={workers}");
         }
     }
 }
 
+/// Every per-sample value of a seed-split run, through `par_map_range`.
+fn seed_split_draws(
+    parallelism: Parallelism,
+    samples: usize,
+    seed: u64,
+    model: impl Fn(&mut Rng) -> f64 + Sync,
+) -> Vec<u64> {
+    par_map_range(parallelism, samples, |i| {
+        let mut rng = Rng::seed_from_u64(mc_sample_seed(seed, i as u64));
+        model(&mut rng).to_bits()
+    })
+}
+
 #[test]
-fn par_monte_carlo_is_bitwise_thread_count_invariant() {
+fn seed_split_draws_are_bitwise_thread_count_invariant() {
     let model = |rng: &mut Rng| {
         let y: f64 = rng.gen_range(0.5..1.5);
         1370.0 / y
     };
     for seed in [0, 1, 0xDEAD_BEEF, u64::MAX] {
         for samples in [1, 2, 63, 500, 2999] {
-            let serial = par_monte_carlo_with(Parallelism::Serial, samples, seed, model);
+            let serial = seed_split_draws(Parallelism::Serial, samples, seed, model);
             for workers in [2, 3, 8] {
-                let parallel = par_monte_carlo_with(threads(workers), samples, seed, model);
-                // PartialEq on McStats is f64 equality — bit-for-bit stats.
+                let parallel = seed_split_draws(threads(workers), samples, seed, model);
                 assert_eq!(
                     serial, parallel,
                     "seed={seed}, samples={samples}, workers={workers}"
@@ -105,16 +146,20 @@ fn par_monte_carlo_is_bitwise_thread_count_invariant() {
 }
 
 #[test]
-fn par_try_monte_carlo_is_bitwise_thread_count_invariant() {
+fn seed_split_non_finite_draws_are_bitwise_thread_count_invariant() {
     let model = |rng: &mut Rng| {
         let y: f64 = rng.gen_range(-0.2..1.0);
         1.0 / y.max(0.0)
     };
     for seed in [7, 0xAC70, u64::MAX - 1] {
         for samples in [1, 64, 1000] {
-            let serial = par_try_monte_carlo_with(Parallelism::Serial, samples, seed, model);
+            let serial = seed_split_draws(Parallelism::Serial, samples, seed, model);
+            assert!(
+                samples < 64 || serial.iter().any(|&bits| !f64::from_bits(bits).is_finite()),
+                "the pole must be exercised: seed={seed}, samples={samples}"
+            );
             for workers in [2, 5, 8] {
-                let parallel = par_try_monte_carlo_with(threads(workers), samples, seed, model);
+                let parallel = seed_split_draws(threads(workers), samples, seed, model);
                 assert_eq!(
                     serial, parallel,
                     "seed={seed}, samples={samples}, workers={workers}"

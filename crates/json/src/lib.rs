@@ -122,12 +122,6 @@ impl JsonObject {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// `true` when `key` has an entry.
-    #[must_use]
-    pub fn contains_key(&self, key: &str) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -11,10 +11,10 @@
 //! results it finished and ends with a `{"error":"deadline",...}` trailer
 //! instead of hanging or being killed mid-write.
 //!
-//! Both batch endpoints consult the calibrated [`Parallelism::Auto`]
-//! policy per request: batches past the break-even threshold evaluate on
-//! the `act_dse` worker pool (bit-identical to the serial path), smaller
-//! ones stay serial. Every sweep trailer and Monte-Carlo summary carries
+//! Both batch endpoints consult the [`Parallelism::Auto`] break-even rule
+//! per request: batches past the threshold evaluate on the `act_dse`
+//! worker pool (bit-identical to the serial path), smaller ones stay
+//! serial. Every sweep trailer and Monte-Carlo summary carries
 //! the `threads` the evaluation actually used, so a client can see which
 //! path served it.
 
@@ -23,8 +23,9 @@ use std::time::Instant;
 
 use act_core::{CompiledFootprint, FreeAxis, ModelParams};
 use act_dse::{
-    calibration, par_monte_carlo_compiled_block_budgeted, par_sweep_compiled_block_budgeted,
-    BatchOutput, BatchRun, EvalBudget, McBuffer, Parallelism, PointBatch,
+    calibration, monte_carlo_calibration, par_monte_carlo_compiled_block_budgeted,
+    par_sweep_compiled_block_budgeted, BatchOutput, BatchRun, Calibration, EvalBudget,
+    McBuffer, Parallelism, PointBatch,
 };
 use act_experiments::{concrete_experiment_ids, try_render_experiment, OutputFormat};
 use act_json::{format_float, FromJson, JsonValue, ToJson};
@@ -259,7 +260,7 @@ fn handle_scenario(stream: &mut TcpStream, request: &Request) -> std::io::Result
 /// Monte-Carlo summary line out (per-device stats plus the fleet total),
 /// or a deadline trailer when the budget expired mid-run. Rides the same
 /// budgeted block machinery as `/v1/montecarlo`, so the outcome is
-/// bit-identical whichever thread count the calibration picks.
+/// bit-identical whichever thread count the break-even rule picks.
 fn handle_fleet(
     stream: &mut TcpStream,
     request: &Request,
@@ -282,7 +283,7 @@ fn handle_fleet(
 
     let mut buf = McBuffer::default();
     let budget = EvalBudget::with_deadline(deadline);
-    let threads = batch_threads(fleet.samples());
+    let threads = monte_carlo_threads(fleet.samples());
     match fleet.run(threads, &mut buf, &budget) {
         Ok((outcome, run)) => {
             let mut doc = outcome.to_json();
@@ -290,7 +291,7 @@ fn handle_fleet(
                 obj.insert("devices", fleet.devices().to_json());
                 obj.insert("fleet_total_g", fleet.fleet_total_grams(&outcome).to_json());
                 obj.insert("threads", threads.to_json());
-                obj.insert("calibration", calibration().to_json());
+                obj.insert("calibration", monte_carlo_calibration().to_json());
             }
             let mut line = doc.render_compact();
             line.push('\n');
@@ -304,7 +305,7 @@ fn handle_fleet(
                     write_stream_head(stream, Status::Ok)?;
                     use std::io::Write;
                     stream.write_all(line.as_bytes())?;
-                    let calibration = calibration_fragment();
+                    let calibration = calibration_fragment(monte_carlo_calibration());
                     let trailer = format!(
                         "{{\"error\":\"deadline\",\"completed\":{completed},\"threads\":{threads},\"calibration\":{calibration}}}\n"
                     );
@@ -351,19 +352,25 @@ fn parse_axis_name(name: &str) -> Result<FreeAxis, Reject> {
     }
 }
 
-/// Threads the calibrated policy grants a batch of `len` points: the
+/// Threads the break-even policy grants a sweep of `len` points: the
 /// [`Parallelism::Auto`] resolution (machine size, `ACT_THREADS`, and the
-/// measured break-even threshold), never more than one thread per point.
-/// `1` means the serial path wins and the pool is left alone.
-fn batch_threads(len: usize) -> usize {
+/// committed sweep threshold), never more than one thread per point. `1`
+/// means the serial path wins and the pool is left alone.
+fn sweep_threads(len: usize) -> usize {
     Parallelism::Auto.resolve_for(len).workers.min(len.max(1))
 }
 
-/// The process-wide break-even calibration as a compact JSON fragment for
-/// trailers. An unbounded threshold (the single-core pin) encodes as
-/// `null`, never as `usize::MAX` rounded through f64.
-fn calibration_fragment() -> String {
-    calibration().to_json().render_compact()
+/// [`sweep_threads`] for a Monte-Carlo run of `samples` draws, under the
+/// Monte-Carlo threshold.
+fn monte_carlo_threads(samples: usize) -> usize {
+    Parallelism::Auto.resolve_for_monte_carlo(samples).workers.min(samples.max(1))
+}
+
+/// A break-even calibration as a compact JSON fragment for trailers. An
+/// unbounded threshold (the single-core pin) encodes as `null`, never as
+/// `usize::MAX` rounded through f64.
+fn calibration_fragment(calibration: Calibration) -> String {
+    calibration.to_json().render_compact()
 }
 
 /// The decoded, validated body of a sweep request.
@@ -469,10 +476,10 @@ fn handle_sweep(
     let block_kernel = |cols: &[&[f64]], range: std::ops::Range<usize>, out: &mut [f64]| {
         plan.eval_block(cols, range, out);
     };
-    // The calibrated policy decides serial vs. pool; both paths produce
+    // The break-even policy decides serial vs. pool; both paths produce
     // bit-identical values, so clients cannot observe which ran except
     // through the `threads` field in the trailer.
-    let threads = batch_threads(sweep.points);
+    let threads = sweep_threads(sweep.points);
     let run = par_sweep_compiled_block_budgeted(
         Parallelism::threads(threads),
         &sweep.batch,
@@ -505,7 +512,7 @@ fn handle_sweep(
         buf.push('\n');
         stream.write_all(buf.as_bytes())?;
     }
-    let calibration = calibration_fragment();
+    let calibration = calibration_fragment(calibration());
     match run {
         BatchRun::Completed => {
             let trailer = format!(
@@ -635,7 +642,7 @@ fn handle_montecarlo(
     };
     // Per-sample seeding makes the draws order-independent, so the pooled
     // path returns the same summary bit-for-bit (see `act_dse::batch`).
-    let threads = batch_threads(mc.samples);
+    let threads = monte_carlo_threads(mc.samples);
     let result = par_monte_carlo_compiled_block_budgeted(
         Parallelism::threads(threads),
         mc.samples,
@@ -651,7 +658,7 @@ fn handle_montecarlo(
             let mut doc = outcome.to_json();
             if let JsonValue::Object(obj) = &mut doc {
                 obj.insert("threads", threads.to_json());
-                obj.insert("calibration", calibration().to_json());
+                obj.insert("calibration", monte_carlo_calibration().to_json());
             }
             let mut line = doc.render_compact();
             line.push('\n');
@@ -665,7 +672,7 @@ fn handle_montecarlo(
                     write_stream_head(stream, Status::Ok)?;
                     use std::io::Write;
                     stream.write_all(line.as_bytes())?;
-                    let calibration = calibration_fragment();
+                    let calibration = calibration_fragment(monte_carlo_calibration());
                     let trailer = format!(
                         "{{\"error\":\"deadline\",\"completed\":{completed},\"threads\":{threads},\"calibration\":{calibration}}}\n"
                     );

@@ -161,14 +161,14 @@ fn sweep_streams_ndjson_and_matches_compiled_eval() {
     assert_eq!(trailer.get("done").and_then(JsonValue::as_bool), Some(true));
     assert_eq!(trailer.get("points").and_then(JsonValue::as_u64), Some(3));
     // The trailer reports which path evaluated the sweep. 3 points sit
-    // far below any measured break-even threshold, so absent an
+    // far below the break-even rule's threshold, so absent an
     // `ACT_THREADS` override this runs serial.
     let threads = trailer.get("threads").and_then(JsonValue::as_u64).expect("threads");
     assert!(threads >= 1, "threads must be positive: {trailer:?}");
     if std::env::var_os("ACT_THREADS").is_none()
         && std::env::var_os("ACT_PAR_THRESHOLD").is_none()
     {
-        // The measured break-even threshold is never below 512 points.
+        // The rule's sweep threshold is one 4,096-point chunk per worker.
         assert_eq!(threads, 1, "a 3-point sweep must stay below break-even");
     }
     assert_calibration_encoding(&trailer, lines[3]);
@@ -182,7 +182,7 @@ fn sweep_streams_ndjson_and_matches_compiled_eval() {
 fn assert_calibration_encoding(doc: &JsonValue, raw: &str) {
     let calibration = doc.get("calibration").expect("calibration object");
     let source = calibration.get("source").and_then(JsonValue::as_str).expect("source");
-    assert!(["env", "measured", "single-core"].contains(&source), "{source}");
+    assert!(["env", "rule", "single-core"].contains(&source), "{source}");
     let threshold = calibration.get("threshold_points").expect("threshold_points");
     assert!(
         threshold.is_null() || threshold.as_u64().is_some_and(|t| t < u64::MAX / 2),

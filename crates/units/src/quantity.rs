@@ -627,12 +627,6 @@ impl Power {
     pub const fn as_watts(self) -> f64 {
         self.0 * JOULES_PER_KWH
     }
-
-    /// Magnitude in milliwatts.
-    #[must_use]
-    pub fn as_milliwatts(self) -> f64 {
-        self.0 * JOULES_PER_KWH * 1e3
-    }
 }
 
 impl Area {

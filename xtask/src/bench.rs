@@ -722,8 +722,8 @@ pub fn run_bench(config: &BenchConfig) -> Result<BenchReport, String> {
     let points = config.sweep_points.to_string();
     let sweep = run_capture(Command::new(act_binary(root)).args(["bench-sweep", &points]))?;
 
-    // The parallel-must-win gate probe: large enough that the calibrated
-    // engine should dispatch in parallel and beat serial on a multi-core
+    // The parallel-must-win gate probe: large enough that the break-even
+    // rule dispatches in parallel and should beat serial on a multi-core
     // host. Verdict rendering is the caller's job (see `gate_parallel_win`).
     let gate_points = config.gate_points.to_string();
     let sweep_gate =

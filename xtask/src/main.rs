@@ -53,7 +53,7 @@ fn usage() -> String {
      appended so the regression stays visible. A 100k-point gate sweep\n\
      then enforces two retention gates: the block-vectorized leg\n\
      (`compiled_block`) must not lose to the per-point compiled leg on\n\
-     any host, and the calibrated compiled-parallel leg must not lose to\n\
+     any host, and the pooled compiled-parallel leg must not lose to\n\
      serial: exit 2 on failure (the parallel gate soft-warns with 1\n\
      hardware thread). Outside --quick a million-point compiled sweep is recorded\n\
      too, and every run captures a 100k-sample `act fleet-bench` record\n\
@@ -389,7 +389,7 @@ fn run_bench(config: &xtask::bench::BenchConfig) -> ExitCode {
         xtask::bench::GateOutcome::Fail { speedup, threads } => {
             eprintln!(
                 "bench: 100k parallel gate FAILED — compiled parallel only {speedup:.2}x \
-                 serial on {threads} worker(s) (needs >= {:.2}x); the calibrated engine \
+                 serial on {threads} worker(s) (needs >= {:.2}x); the pooled engine \
                  must not lose to serial at this size",
                 xtask::bench::GATE_MIN_SPEEDUP
             );
